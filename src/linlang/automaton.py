@@ -15,14 +15,14 @@ from __future__ import annotations
 import enum
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     ClassOverlap,
     EmptyInitialSetWarning,
     HasLambdaMoves,
-    InvalidIdentifier,
     NotDeterminizable,
     SymbolNotInAlphabet,
     UnknownState,
@@ -44,42 +44,39 @@ class LinearAutomaton:
     left_states: frozenset[str]
     right_states: frozenset[str]
     alphabet: frozenset[str]
-    delta: dict[tuple[str, str], frozenset[str]]
+    #: Read-only view; unhashable, so the automaton's hash leaves it out.
+    delta: Mapping[tuple[str, str], frozenset[str]] = field(hash=False)
     initial: frozenset[str]
     final: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "left_states", frozenset(self.left_states))
-        object.__setattr__(self, "right_states", frozenset(self.right_states))
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "final", frozenset(self.final))
-        object.__setattr__(self, "delta", {
-            k: frozenset(v) for k, v in self.delta.items() if v
-        })
-        overlap = self.left_states & self.right_states
-        if overlap:
-            raise ClassOverlap(f"states in both classes: {sorted(overlap)}")
-        for q in self.left_states | self.right_states:
-            check_name(q, "state")
-        for a in self.alphabet:
-            check_name(a, "alphabet symbol")
-            if len(a) != 1:
-                raise InvalidIdentifier(
-                    f"alphabet symbol {a!r} must be a single character")
+        for name in ("left_states", "right_states", "alphabet", "initial", "final"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        cells = {k: frozenset(v) for k, v in self.delta.items() if v}
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "delta", MappingProxyType(cells))
+        # Names are visited in sorted order, so of several faults the same
+        # one is always reported.
         states = self.states
+        for q in sorted(states | self.initial | self.final):
+            check_name(q, "state")
+        for a in sorted(self.alphabet):
+            check_name(a, "alphabet symbol", single=True)
+        if overlap := self.left_states & self.right_states:
+            q = min(overlap)
+            raise ClassOverlap(f"state {q!r} declared in both classes", subject=q)
         for pool, what in ((self.initial, "initial"), (self.final, "final")):
-            for q in pool:
-                if q not in states:
-                    raise UnknownState(f"{what} state {q!r} is not declared")
-        for (q, a), targets in self.delta.items():
+            if missing := pool - states:
+                q = min(missing)
+                raise UnknownState(f"{what} state {q!r} is not declared", subject=q)
+        for (q, a), targets in cells.items():
             if q not in states:
-                raise UnknownState(f"transition from undeclared state {q!r}")
+                raise UnknownState(f"transition from undeclared state {q!r}", subject=q)
             if a != LAMBDA and a not in self.alphabet:
-                raise UnknownSymbol(f"transition on undeclared symbol {a!r}")
-            for t in targets:
-                if t not in states:
-                    raise UnknownState(f"transition into undeclared state {t!r}")
+                raise UnknownSymbol(f"transition on undeclared symbol {a!r}", subject=a)
+            if missing := targets - states:
+                t = min(missing)
+                raise UnknownState(f"transition into undeclared state {t!r}", subject=t)
 
     @property
     def states(self) -> frozenset[str]:
@@ -97,7 +94,8 @@ class LinearAutomaton:
         raise UnknownState(f"no state named {q!r}")
 
     def targets(self, q: str, a: str) -> frozenset[str]:
-        return self.delta.get((q, a), frozenset())
+        # the plain dict: a lookup through the read-only view costs more
+        return self._cells.get((q, a), frozenset())
 
     def transitions(self) -> list[tuple[str, str, frozenset[str]]]:
         """Transition entries sorted by state, then symbol with lambda last."""
@@ -111,9 +109,7 @@ def validate_automaton(*, left: Iterable[str], right: Iterable[str],
                        initial: Iterable[str], final: Iterable[str],
                        ) -> LinearAutomaton:
     """Build a LinearAutomaton, warning when the start set is empty."""
-    m = LinearAutomaton(frozenset(left), frozenset(right), frozenset(alphabet),
-                        {k: frozenset(v) for k, v in delta.items()},
-                        frozenset(initial), frozenset(final))
+    m = LinearAutomaton(left, right, alphabet, delta, initial, final)
     if not m.initial:
         warnings.warn("automaton has no start states and accepts nothing",
                       EmptyInitialSetWarning, stacklevel=2)
@@ -299,47 +295,40 @@ def _homogeneity(m: LinearAutomaton, members: frozenset[str]) -> Homogeneity:
     return Homogeneity.MIXED
 
 
-def _subset_closure(m: LinearAutomaton) -> list[frozenset[str]]:
-    # Reachable subsets in breadth-first order; the empty union is skipped,
-    # matching a partial transition function on the determinized side.
+def _subset_table(m: LinearAutomaton) -> dict[frozenset[str], dict[str, frozenset[str]]]:
+    # Reachable subsets in breadth-first order, each mapped to its successor
+    # per symbol.  The empty union is skipped, matching a partial transition
+    # function on the determinized side.
     _require_lambda_free(m, "subset construction")
-    order: list[frozenset[str]] = []
-    seen: set[frozenset[str]] = set()
-    frontier: deque[frozenset[str]] = deque()
-    for q in sorted(m.initial):
-        x = frozenset({q})
-        if x not in seen:
-            seen.add(x)
-            order.append(x)
-            frontier.append(x)
+    alphabet = sorted(m.alphabet)
+    table: dict[frozenset[str], dict[str, frozenset[str]]] = {}
+    frontier = deque(frozenset({q}) for q in sorted(m.initial))
     while frontier:
         x = frontier.popleft()
-        for a in sorted(m.alphabet):
-            union: set[str] = set()
-            for q in x:
-                union |= m.targets(q, a)
-            y = frozenset(union)
-            if y and y not in seen:
-                seen.add(y)
-                order.append(y)
+        if x in table:
+            continue
+        succ = table[x] = {}
+        for a in alphabet:
+            y = frozenset().union(*(m.targets(q, a) for q in x))
+            if y:
+                succ[a] = y
                 frontier.append(y)
-    return order
+    return table
 
 
 def subset_states(m: LinearAutomaton) -> set[SubsetState]:
     """The reachable subset-state family, each tagged with its homogeneity."""
-    return {SubsetState(x, _homogeneity(m, x)) for x in _subset_closure(m)}
+    return {SubsetState(x, _homogeneity(m, x)) for x in _subset_table(m)}
 
 
 def is_determinizable(m: LinearAutomaton) -> bool:
     """True when no reachable subset mixes left and right states."""
-    return all(_homogeneity(m, x) is not Homogeneity.MIXED
-               for x in _subset_closure(m))
+    return all(_homogeneity(m, x) is not Homogeneity.MIXED for x in _subset_table(m))
 
 
 def determinize(m: LinearAutomaton) -> LinearAutomaton:
     """Subset construction over homogeneous subsets; start set kept as-is."""
-    subsets = _subset_closure(m)
+    subsets = _subset_table(m)
     mixed = [x for x in subsets if _homogeneity(m, x) is Homogeneity.MIXED]
     if mixed:
         worst = sorted(mixed[0])
@@ -352,15 +341,8 @@ def determinize(m: LinearAutomaton) -> LinearAutomaton:
         names[x] = name
     left = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_LEFT}
     right = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_RIGHT}
-    delta: dict[tuple[str, str], frozenset[str]] = {}
-    for x in subsets:
-        for a in sorted(m.alphabet):
-            union: set[str] = set()
-            for q in x:
-                union |= m.targets(q, a)
-            y = frozenset(union)
-            if y:
-                delta[(names[x], a)] = frozenset({names[y]})
+    delta = {(names[x], a): {names[y]}
+             for x, succ in subsets.items() for a, y in succ.items()}
     initial = {names[frozenset({q})] for q in m.initial}
     final = {names[x] for x in subsets if x & m.final}
     return LinearAutomaton(frozenset(left), frozenset(right), m.alphabet,

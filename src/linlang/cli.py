@@ -181,11 +181,11 @@ def _run_auto(args) -> int:
     elif args.action == "is-even":
         ok = auto_ops.is_even(m)
     elif args.action == "is-determinizable":
-        ok = auto_ops.is_determinizable(m)
-        if not ok:
-            mixed = min((sorted(s.members) for s in auto_ops.subset_states(m)
-                         if s.homogeneity is auto_ops.Homogeneity.MIXED))
-            print(f"mixed subset: {{{', '.join(mixed)}}}", file=sys.stderr)
+        mixed = [sorted(s.members) for s in auto_ops.subset_states(m)
+                 if s.homogeneity is auto_ops.Homogeneity.MIXED]
+        ok = not mixed
+        if mixed:
+            print(f"mixed subset: {{{', '.join(min(mixed))}}}", file=sys.stderr)
     elif args.action == "determinize":
         if args.strict and len(m.initial) > 1:
             print(f"strict: automaton has {len(m.initial)} start states",

@@ -11,6 +11,7 @@ from .grammar import (
     SymbolKind,
     classify_variable,
     VariableClass,
+    _slnf_body_ok,
     is_deterministic_linear,
     is_even_linear,
     to_even_normal_form,
@@ -22,9 +23,7 @@ from .naming import fresh_name
 
 
 def _is_read_body(body: tuple[Symbol, ...]) -> bool:
-    return (len(body) == 2
-            and SymbolKind.TERMINAL in (body[0].kind, body[1].kind)
-            and SymbolKind.VARIABLE in (body[0].kind, body[1].kind))
+    return len(body) == 2 and _slnf_body_ok(body)
 
 
 def _slnf_to_nla(g: LinearGrammar, sink_side: str) -> LinearAutomaton:

@@ -7,12 +7,16 @@ class LinlangError(Exception):
     """Base class for all errors raised by this package.
 
     ``span`` is a :class:`linlang.textio.SourceSpan` when the error was
-    detected while parsing a text file, else ``None``.
+    detected while parsing a text file, else ``None``.  ``subject`` is what
+    the error is about when a validity check raised it: the offending name,
+    or the :class:`linlang.grammar.Production` with a terminal head or a
+    non-linear body.
     """
 
-    def __init__(self, message: str, span=None):
+    def __init__(self, message: str, span=None, subject=None):
         super().__init__(message)
         self.span = span
+        self.subject = subject
 
 
 # --- grammar-side errors ---

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -54,9 +55,10 @@ class Production:
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
         if self.head.kind is not SymbolKind.VARIABLE:
-            raise UnknownSymbol(f"production head {self.head.name!r} is not a variable")
+            raise UnknownSymbol(f"production head {self.head.name!r} is not a variable",
+                                subject=self)
         if sum(1 for s in self.body if s.kind is SymbolKind.VARIABLE) > 1:
-            raise NotLinear(f"body of {self} holds more than one variable")
+            raise NotLinear(f"body of {self} holds more than one variable", subject=self)
 
     @property
     def variable_index(self) -> int | None:
@@ -92,28 +94,29 @@ class LinearGrammar:
         object.__setattr__(self, "variables", frozenset(self.variables))
         object.__setattr__(self, "terminals", frozenset(self.terminals))
         object.__setattr__(self, "productions", frozenset(self.productions))
-        for s in self.variables:
-            check_name(s.name, "variable")
-            if s.kind is not SymbolKind.VARIABLE:
-                raise UnknownSymbol(f"{s.name!r} listed as variable with kind {s.kind.value}")
-        for s in self.terminals:
-            check_name(s.name, "terminal")
-            if s.kind is not SymbolKind.TERMINAL:
-                raise UnknownSymbol(f"{s.name!r} listed as terminal with kind {s.kind.value}")
-        vnames = {s.name for s in self.variables}
-        tnames = {s.name for s in self.terminals}
-        clash = vnames & tnames
-        if clash:
-            raise DuplicateSymbol(f"declared as both terminal and variable: {sorted(clash)}")
+        # Names are visited in sorted order, so of several faults the same
+        # one is always reported.
+        for kind, pool in ((SymbolKind.VARIABLE, self.variables),
+                           (SymbolKind.TERMINAL, self.terminals)):
+            for s in sorted(pool, key=attrgetter("name")):
+                check_name(s.name, kind.value, single=kind is SymbolKind.TERMINAL)
+                if s.kind is not kind:
+                    raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
+                                        f"with kind {s.kind.value}", subject=s.name)
+        if clash := {s.name for s in self.variables} & {s.name for s in self.terminals}:
+            name = min(clash)
+            raise DuplicateSymbol(f"{name!r} declared as both terminal and variable",
+                                  subject=name)
         if self.start not in self.variables:
-            raise StartNotDeclared(f"start {self.start.name!r} is not a declared variable")
+            raise StartNotDeclared(f"start {self.start.name!r} is not a declared variable",
+                                   subject=self.start.name)
+        # Heads are variables (Production checks), so declared heads are
+        # declared variables.
         declared = self.variables | self.terminals
-        for p in self.productions:
-            if p.head not in self.variables:
-                raise UnknownSymbol(f"undeclared head {p.head.name!r}")
-            for s in p.body:
-                if s not in declared:
-                    raise UnknownSymbol(f"undeclared symbol {s.name!r} in body of {p}")
+        if bad := [p for p in self.productions
+                   if p.head not in declared or not declared.issuperset(p.body)]:
+            name = min(s.name for p in bad for s in (p.head, *p.body) if s not in declared)
+            raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
 
     # -- conveniences used throughout the package --
 
@@ -141,40 +144,28 @@ class LinearGrammar:
 def validate_grammar(*, variables: Iterable[str], terminals: Iterable[str],
                      start: str, productions: Iterable[tuple[str, Sequence[str]]],
                      ) -> LinearGrammar:
-    """Build a LinearGrammar from name-level data, checking every invariant.
+    """Build a LinearGrammar from name-level data.
 
     ``productions`` pairs a head name with a sequence of symbol names; an
-    empty sequence is the erasing production.
+    empty sequence is the erasing production.  A name declared twice raises
+    DuplicateSymbol; every other rule is checked by Production and
+    LinearGrammar.  An undeclared name passes through for them to reject: as
+    a variable as start or head, as a terminal in a body, where it cannot
+    make the body non-linear.
     """
-    vnames = list(variables)
-    tnames = list(terminals)
-    for pool, role in ((vnames, "variable"), (tnames, "terminal")):
-        seen: set[str] = set()
-        for n in pool:
-            check_name(n, role)
-            if n in seen:
-                raise DuplicateSymbol(f"{role} {n!r} declared twice")
-            seen.add(n)
-    both = set(vnames) & set(tnames)
-    if both:
-        raise DuplicateSymbol(f"declared as both terminal and variable: {sorted(both)}")
-    if start not in vnames:
-        raise StartNotDeclared(f"start {start!r} is not a declared variable")
-    table = {n: variable(n) for n in vnames}
-    table.update({n: terminal(n) for n in tnames})
-    prods = set()
-    for head, body in productions:
-        if head not in table or table[head].kind is not SymbolKind.VARIABLE:
-            raise UnknownSymbol(f"production head {head!r} is not a declared variable")
-        syms = []
-        for n in body:
-            if n not in table:
-                raise UnknownSymbol(f"undeclared symbol {n!r} in a production body")
-            syms.append(table[n])
-        prods.add(Production(table[head], tuple(syms)))
-    return LinearGrammar(frozenset(table[n] for n in vnames),
-                         frozenset(table[n] for n in tnames),
-                         table[start], frozenset(prods))
+    table: dict[str, Symbol] = {}
+    for names, make in ((variables, variable), (terminals, terminal)):
+        for n in names:
+            if n in table:
+                raise DuplicateSymbol(f"{n!r} declared twice", subject=n)
+            table[n] = make(n)
+    prods = frozenset(Production(table.get(head) or variable(head),
+                                 tuple(table.get(n) or terminal(n) for n in body))
+                      for head, body in productions)
+    symbols = table.values()
+    return LinearGrammar(frozenset(s for s in symbols if s.kind is SymbolKind.VARIABLE),
+                         frozenset(s for s in symbols if s.kind is SymbolKind.TERMINAL),
+                         table.get(start) or variable(start), prods)
 
 
 def classify_variable(g: LinearGrammar, v: Symbol | str) -> VariableClass:

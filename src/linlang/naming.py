@@ -16,11 +16,17 @@ def is_valid_name(name: str) -> bool:
     return bool(NAME_RE.match(name)) and name != EPS
 
 
-def check_name(name: str, role: str = "symbol", span=None) -> str:
+def check_name(name: str, role: str = "symbol", single: bool = False) -> str:
+    """Return ``name`` if it may name a ``role``; ``single`` also demands one
+    character, the rule for input symbols, because words are plain strings."""
     if not isinstance(name, str) or not NAME_RE.match(name):
-        raise InvalidIdentifier(f"invalid {role} name {name!r}", span=span)
+        raise InvalidIdentifier(f"invalid {role} name {name!r}", subject=name)
     if name == EPS:
-        raise InvalidIdentifier(f"{EPS!r} is reserved and cannot name a {role}", span=span)
+        raise InvalidIdentifier(f"{EPS!r} is reserved and cannot name a {role}",
+                                subject=name)
+    if single and len(name) != 1:
+        raise InvalidIdentifier(f"{role} {name!r} must be a single character",
+                                subject=name)
     return name
 
 

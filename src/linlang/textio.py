@@ -11,18 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import LAMBDA, LinearAutomaton, validate_automaton
-from .errors import (
-    ClassOverlap,
-    DuplicateSymbol,
-    InvalidIdentifier,
-    NotLinear,
-    ParseError,
-    StartNotDeclared,
-    UnknownState,
-    UnknownSymbol,
-)
-from .grammar import LinearGrammar, validate_grammar
-from .naming import EPS, NAME_RE
+from .errors import LinlangError, NotLinear, ParseError, StartNotDeclared
+from .grammar import LinearGrammar, Production, SymbolKind, validate_grammar
+from .naming import EPS
 
 
 @dataclass(frozen=True)
@@ -51,12 +42,6 @@ def _token_lines(text: str) -> list[list[tuple[str, SourceSpan]]]:
     return lines
 
 
-def _check_token_name(tok: str, span: SourceSpan, role: str) -> str:
-    if not NAME_RE.match(tok) or tok == EPS:
-        raise InvalidIdentifier(f"invalid {role} name {tok!r}", span=span)
-    return tok
-
-
 # --- grammar format ---
 
 def parse_grammar(text: str) -> LinearGrammar:
@@ -66,9 +51,11 @@ def parse_grammar(text: str) -> LinearGrammar:
         span = lines[0][0][1] if lines else SourceSpan(1, 1)
         raise ParseError("expected a lone 'grammar' header line", span=span)
     start: tuple[str, SourceSpan] | None = None
-    decls: dict[str, tuple[str, SourceSpan]] = {}
     order: dict[str, list[str]] = {"terminals": [], "variables": []}
-    raw_prods: list[tuple[str, SourceSpan, list[list[tuple[str, SourceSpan]]]]] = []
+    productions: list[tuple[str, list[str]]] = []
+    # Each name's last declaration (a repeat is where the duplicate shows),
+    # else its first use; each production's head and body token spans.
+    spans: dict = {}
     for toks in lines[1:]:
         word, span = toks[0]
         if len(toks) >= 2 and toks[1][0] == "->":
@@ -83,7 +70,16 @@ def parse_grammar(text: str) -> LinearGrammar:
             for alt in alts:
                 if not alt:
                     raise ParseError("empty production alternative", span=span)
-            raw_prods.append((word, span, alts))
+                names = [tok for tok, _ in alt]
+                if names == [EPS]:
+                    names, alt = [], []
+                elif EPS in names:
+                    raise ParseError(f"{EPS!r} cannot appear inside a body",
+                                     span=alt[names.index(EPS)][1])
+                productions.append((word, names))
+                spans.setdefault((word, tuple(names)), [span, *(s for _, s in alt)])
+                for name, nspan in [(word, span), *alt]:
+                    spans.setdefault(name, nspan)
         elif word == "start":
             if len(toks) != 2:
                 raise ParseError("'start' takes exactly one variable", span=span)
@@ -91,49 +87,34 @@ def parse_grammar(text: str) -> LinearGrammar:
                 raise ParseError("duplicate 'start' directive", span=span)
             start = (toks[1][0], toks[1][1])
         elif word in ("terminals", "variables"):
-            role = word[:-1]
             for name, nspan in toks[1:]:
-                _check_token_name(name, nspan, role)
-                if name in decls:
-                    raise DuplicateSymbol(f"{name!r} declared twice", span=nspan)
-                decls[name] = (role, nspan)
                 order[word].append(name)
+                spans[name] = nspan
         else:
             raise ParseError(f"expected a directive or production, got {word!r}",
                              span=span)
     if start is None:
         raise StartNotDeclared("no 'start' directive", span=SourceSpan(1, 1))
     sname, sspan = start
-    if decls.get(sname, ("",))[0] != "variable":
-        raise StartNotDeclared(f"start {sname!r} is not a declared variable",
-                               span=sspan)
-    productions: list[tuple[str, list[str]]] = []
-    for head, hspan, alts in raw_prods:
-        if decls.get(head, ("",))[0] != "variable":
-            raise UnknownSymbol(f"production head {head!r} is not a declared variable",
-                                span=hspan)
-        for alt in alts:
-            if len(alt) == 1 and alt[0][0] == EPS:
-                productions.append((head, []))
-                continue
-            body = []
-            nvars = 0
-            for tok, tspan in alt:
-                if tok == EPS:
-                    raise ParseError(f"{EPS!r} cannot appear inside a body",
-                                     span=tspan)
-                if tok not in decls:
-                    raise UnknownSymbol(f"undeclared symbol {tok!r}", span=tspan)
-                if decls[tok][0] == "variable":
-                    nvars += 1
-                    if nvars > 1:
-                        raise NotLinear("more than one variable in a body",
-                                        span=tspan)
-                body.append(tok)
-            productions.append((head, body))
-    return validate_grammar(variables=order["variables"],
-                            terminals=order["terminals"],
-                            start=sname, productions=productions)
+    try:
+        return validate_grammar(variables=order["variables"],
+                                terminals=order["terminals"],
+                                start=sname, productions=productions)
+    except LinlangError as exc:
+        exc.span = sspan if isinstance(exc, StartNotDeclared) else _grammar_span(exc, spans)
+        raise
+
+
+def _grammar_span(exc: LinlangError, spans: dict) -> SourceSpan | None:
+    # A production subject points at its head, or at the second variable of
+    # a non-linear body.
+    p = exc.subject
+    if not isinstance(p, Production):
+        return spans.get(p)
+    at = spans[p.sort_key()]
+    if isinstance(exc, NotLinear):
+        return at[[i for i, s in enumerate(p.body, 1) if s.kind is SymbolKind.VARIABLE][1]]
+    return at[0]
 
 
 def serialize_grammar(g: LinearGrammar) -> str:
@@ -159,8 +140,10 @@ def parse_automaton(text: str) -> LinearAutomaton:
         span = lines[0][0][1] if lines else SourceSpan(1, 1)
         raise ParseError("expected a lone 'automaton' header line", span=span)
     pools: dict[str, list[str]] = {d: [] for d in _AUTO_DIRECTIVES}
+    delta: dict[tuple[str, str], list[str]] = {}
+    # Each name's first place in the directives, else in the transitions.
     spans: dict[str, SourceSpan] = {}
-    raw_trans: list[tuple] = []
+    used: list[tuple[str, SourceSpan]] = []
     for toks in lines[1:]:
         word, span = toks[0]
         if len(toks) >= 3 and toks[2][0] == "->":
@@ -168,48 +151,25 @@ def parse_automaton(text: str) -> LinearAutomaton:
             if len(toks) < 4:
                 raise ParseError("transition needs at least one target state",
                                  span=span)
-            raw_trans.append((toks[0], toks[1], toks[3:]))
+            sym = LAMBDA if toks[1][0] == EPS else toks[1][0]
+            delta.setdefault((word, sym), []).extend(tgt for tgt, _ in toks[3:])
+            used += toks[:2] + toks[3:]
         elif word in _AUTO_DIRECTIVES:
-            role = "alphabet symbol" if word == "alphabet" else "state"
             for name, nspan in toks[1:]:
-                _check_token_name(name, nspan, role)
-                if name not in pools[word]:
-                    pools[word].append(name)
-                    spans.setdefault(name, nspan)
+                pools[word].append(name)
+                spans.setdefault(name, nspan)
         else:
             raise ParseError(f"expected a directive or transition, got {word!r}",
                              span=span)
-    both = set(pools["left"]) & set(pools["right"])
-    if both:
-        name = sorted(both)[0]
-        raise ClassOverlap(f"state {name!r} declared in both classes",
-                           span=spans[name])
-    states = set(pools["left"]) | set(pools["right"])
-    for a, aspan in ((n, spans[n]) for n in pools["alphabet"]):
-        if len(a) != 1:
-            raise InvalidIdentifier(
-                f"alphabet symbol {a!r} must be a single character", span=aspan)
-    for what in ("initial", "final"):
-        for q in pools[what]:
-            if q not in states:
-                raise UnknownState(f"{what} state {q!r} is not declared",
-                                   span=spans[q])
-    delta: dict[tuple[str, str], set[str]] = {}
-    for (src, sspan), (sym, symspan), targets in raw_trans:
-        if src not in states:
-            raise UnknownState(f"undeclared state {src!r}", span=sspan)
-        if sym == EPS:
-            sym = LAMBDA
-        elif sym not in pools["alphabet"]:
-            raise UnknownSymbol(f"undeclared symbol {sym!r}", span=symspan)
-        cell = delta.setdefault((src, sym), set())
-        for tgt, tspan in targets:
-            if tgt not in states:
-                raise UnknownState(f"undeclared state {tgt!r}", span=tspan)
-            cell.add(tgt)
-    return validate_automaton(left=pools["left"], right=pools["right"],
-                              alphabet=pools["alphabet"], delta=delta,
-                              initial=pools["initial"], final=pools["final"])
+    for name, nspan in used:
+        spans.setdefault(name, nspan)
+    try:
+        return validate_automaton(left=pools["left"], right=pools["right"],
+                                  alphabet=pools["alphabet"], delta=delta,
+                                  initial=pools["initial"], final=pools["final"])
+    except LinlangError as exc:
+        exc.span = spans.get(exc.subject)
+        raise
 
 
 def serialize_automaton(m: LinearAutomaton) -> str:

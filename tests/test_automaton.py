@@ -14,6 +14,8 @@ from linlang import (
     is_even,
     lambda_closure,
     ndeg,
+    parse_automaton,
+    serialize_automaton,
     step,
     subset_states,
     trace,
@@ -90,6 +92,20 @@ class TestStep:
         ident = InstantaneousDescription("p1", 4, 7)
         got = step(EX_NLA, ident, "abbabaa")
         assert got == {InstantaneousDescription("p2", 4, 6)}
+
+
+class TestImmutability:
+    def test_hash_survives_roundtrip(self):
+        for m in (EX_NLA, DLA, PAL_EVEN, build_lk_automaton(3)):
+            assert hash(m) == hash(parse_automaton(serialize_automaton(m)))
+
+    def test_equal_automata_collapse_in_a_set(self):
+        assert len({DLA, parse_automaton(serialize_automaton(DLA))}) == 1
+
+    def test_delta_is_read_only(self):
+        with pytest.raises(TypeError):
+            EX_NLA.delta[("q0", "a")] = frozenset({"zz"})
+        assert EX_NLA.targets("q0", "a") == frozenset({"q0", "p1"})
 
 
 class TestAccepts:

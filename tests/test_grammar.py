@@ -1,6 +1,7 @@
 import pytest
 
 from linlang import (
+    Production,
     VariableClass,
     classify_variable,
     eliminate_unit_productions,
@@ -62,6 +63,17 @@ class TestValidate:
         with pytest.raises(StartNotDeclared):
             validate_grammar(variables=["A"], terminals=[], start="S",
                              productions=[])
+
+    def test_errors_carry_their_subject(self):
+        with pytest.raises(UnknownSymbol) as err:
+            validate_grammar(variables=["S"], terminals=["a"], start="S",
+                             productions=[("S", ["a", "X"])])
+        assert err.value.subject == "X"
+        with pytest.raises(NotLinear) as err:
+            validate_grammar(variables=["S"], terminals=[], start="S",
+                             productions=[("S", ["S", "S"])])
+        assert isinstance(err.value.subject, Production)
+        assert str(err.value.subject) == "S -> S S"
 
     def test_duplicate_symbol(self):
         with pytest.raises(DuplicateSymbol):

@@ -9,10 +9,18 @@ from linlang import (
     validate_automaton,
 )
 from linlang.corpus import fixture_ids, load_fixture
-from linlang.errors import ClassOverlap, NotLinear, ParseError, UnknownSymbol
+from linlang.errors import (
+    ClassOverlap,
+    DuplicateSymbol,
+    InvalidIdentifier,
+    NotLinear,
+    ParseError,
+    StartNotDeclared,
+    UnknownState,
+    UnknownSymbol,
+)
 
 from helpers import DATA, GOLDEN
-
 
 
 class TestParseGrammar:
@@ -53,6 +61,14 @@ class TestParseGrammar:
         text = "grammar\nstart S\nterminals a\nvariables S\nS -> a eps\n"
         with pytest.raises(ParseError):
             parse_grammar(text)
+
+    def test_multi_character_terminal(self):
+        # 'ab' and 'a b' would enumerate as the same word
+        text = "grammar\nstart S\nterminals ab a b\nvariables S\nS -> ab | a b\n"
+        with pytest.raises(InvalidIdentifier) as err:
+            parse_grammar(text)
+        assert (err.value.span.line, err.value.span.column) == (3, 11)
+        assert err.value.subject == "ab"
 
     def test_directive_words_are_usable_as_symbol_names(self):
         text = ("grammar\nstart start\nterminals a\nvariables start terminals\n"
@@ -168,3 +184,62 @@ def test_every_fixture_file_roundtrips_by_value():
             assert parse_grammar(serialize_grammar(fx.payload)) == fx.payload
         elif fx.kind == "automaton":
             assert parse_automaton(serialize_automaton(fx.payload)) == fx.payload
+
+
+GRAMMAR = ("grammar\nstart S\nterminals a b\nvariables S A\n"
+           "S -> a S b | A\nA -> a\n")
+AUTOMATON = ("automaton\nalphabet a b\nleft q0\nright p1\ninitial q0\nfinal p1\n"
+             "q0 a -> p1\np1 b -> q0 p1\n")
+
+# One fault per input: (old, new) rewrites every ``old`` in the base text.
+GRAMMAR_FAULTS = {
+    "bad-terminal-name": ("terminals a b", "terminals a b 1c", InvalidIdentifier, (3, 15)),
+    "eps-terminal": ("terminals a b", "terminals a b eps", InvalidIdentifier, (3, 15)),
+    "bad-variable-name": ("variables S A", "variables S A X-1", InvalidIdentifier, (4, 15)),
+    "eps-variable": ("variables S A", "variables S A eps", InvalidIdentifier, (4, 15)),
+    "bad-name-in-use": ("A", "1A", InvalidIdentifier, (4, 13)),
+    "duplicate-terminal": ("terminals a b", "terminals a b a", DuplicateSymbol, (3, 15)),
+    "duplicate-variable": ("variables S A", "variables S A S", DuplicateSymbol, (4, 15)),
+    "cross-role": ("variables S A", "variables S A b", DuplicateSymbol, (4, 15)),
+    "missing-start": ("start S\n", "", StartNotDeclared, (1, 1)),
+    "undeclared-start": ("start S", "start Z", StartNotDeclared, (2, 7)),
+    "terminal-start": ("start S", "start a", StartNotDeclared, (2, 7)),
+    "undeclared-head": ("A -> a", "A -> a\nZ -> a", UnknownSymbol, (7, 1)),
+    "terminal-head": ("A -> a", "A -> a\nb -> a", UnknownSymbol, (7, 1)),
+    "undeclared-body-symbol": ("A -> a", "A -> a Z", UnknownSymbol, (6, 8)),
+    "undeclared-in-alternative": ("A -> a", "A -> a | c", UnknownSymbol, (6, 10)),
+    "undeclared-used-before-head": ("variables S A", "variables S", UnknownSymbol, (5, 14)),
+    "non-linear": ("A -> a", "A -> A a S", NotLinear, (6, 10)),
+    "non-linear-adjacent": ("A -> a", "A -> S A b", NotLinear, (6, 8)),
+}
+
+AUTOMATON_FAULTS = {
+    "bad-left-state": ("left q0", "left q0 1q", InvalidIdentifier, (3, 9)),
+    "eps-right-state": ("right p1", "right p1 eps", InvalidIdentifier, (4, 10)),
+    "bad-alphabet-symbol": ("alphabet a b", "alphabet a b 9", InvalidIdentifier, (2, 14)),
+    "eps-initial": ("initial q0", "initial q0 eps", InvalidIdentifier, (5, 12)),
+    "bad-final": ("final p1", "final p1 2x", InvalidIdentifier, (6, 10)),
+    "class-overlap": ("right p1", "right p1 q0", ClassOverlap, (3, 6)),
+    "multi-character-symbol": ("alphabet a b", "alphabet a b cd", InvalidIdentifier, (2, 14)),
+    "undeclared-initial": ("initial q0", "initial q0 q9", UnknownState, (5, 12)),
+    "undeclared-final": ("final p1", "final p1 q9", UnknownState, (6, 10)),
+    "undeclared-source": ("q0 a -> p1", "q0 a -> p1\nq9 a -> p1", UnknownState, (8, 1)),
+    "undeclared-symbol": ("q0 a -> p1", "q0 a -> p1\nq0 c -> p1", UnknownSymbol, (8, 4)),
+    "undeclared-target": ("q0 a -> p1", "q0 a -> p1 q9", UnknownState, (7, 12)),
+    "undeclared-lambda-target": ("q0 a -> p1", "q0 a -> p1\nq0 eps -> q9", UnknownState,
+                                 (8, 11)),
+}
+
+
+@pytest.mark.parametrize("parse, base, fault", [
+    *((parse_grammar, GRAMMAR, f) for f in GRAMMAR_FAULTS.values()),
+    *((parse_automaton, AUTOMATON, f) for f in AUTOMATON_FAULTS.values()),
+], ids=[*GRAMMAR_FAULTS, *AUTOMATON_FAULTS])
+def test_single_fault_has_type_and_span(parse, base, fault):
+    old, new, exc, where = fault
+    assert old in base
+    parse(base)
+    with pytest.raises(exc) as err:
+        parse(base.replace(old, new))
+    assert type(err.value) is exc
+    assert (err.value.span.line, err.value.span.column) == where
