@@ -333,12 +333,8 @@ def determinize(m: LinearAutomaton) -> LinearAutomaton:
     if mixed:
         worst = sorted(mixed[0])
         raise NotDeterminizable(f"subset mixes both classes: {worst}")
-    names: dict[frozenset[str], str] = {}
     used: set[str] = set()
-    for x in subsets:
-        name = fresh_name("_".join(sorted(x)), used)
-        used.add(name)
-        names[x] = name
+    names = {x: fresh_name("_".join(sorted(x)), used) for x in subsets}
     left = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_LEFT}
     right = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_RIGHT}
     delta = {(names[x], a): {names[y]}

@@ -7,7 +7,6 @@ from .errors import NotDeterministicLinear, NotEven, NotEvenLinear
 from .grammar import (
     LinearGrammar,
     Production,
-    Symbol,
     SymbolKind,
     classify_variable,
     VariableClass,
@@ -22,30 +21,17 @@ from .grammar import (
 from .naming import fresh_name
 
 
-def _is_read_body(body: tuple[Symbol, ...]) -> bool:
-    return len(body) == 2 and _slnf_body_ok(body)
-
-
 def _slnf_to_nla(g: LinearGrammar, sink_side: str) -> LinearAutomaton:
     """Core grammar-to-automaton build; ``g`` must already be in strong form.
 
-    One state per variable plus a fresh final sink.  A variable reads from
-    the left when it rewrites as terminal-then-variable, from the right when
-    variable-then-terminal, and sits on the left by convention otherwise.
+    One state per variable plus a fresh final sink.  A left-linear variable
+    (variable-then-terminal reads) is a right state; every other variable
+    reads terminal-then-variable, or not at all, and is a left state.
     The sink performs no reads, so its side is semantically inert; the even
     pipeline puts it on the right so the transition diagram stays bipartite.
     """
-    names = {v.name for v in g.variables}
-    sink = fresh_name("sink", names | {t.name for t in g.terminals})
-    left: set[str] = set()
-    right: set[str] = set()
-    for v in g.variables:
-        cls = None
-        for p in g.productions_of(v):
-            if _is_read_body(p.body):
-                cls = "left" if p.body[0].kind is SymbolKind.TERMINAL else "right"
-                break
-        (left if cls in (None, "left") else right).add(v.name)
+    sink = fresh_name("sink", g.symbol_names())
+    left, right = _sides(g)
     (left if sink_side == "left" else right).add(sink)
     delta: dict[tuple[str, str], set[str]] = {}
     final = {sink}
@@ -66,6 +52,13 @@ def _slnf_to_nla(g: LinearGrammar, sink_side: str) -> LinearAutomaton:
                               delta=delta, initial={g.start.name}, final=final)
 
 
+def _sides(g: LinearGrammar) -> tuple[set[str], set[str]]:
+    """Left and right state names: right exactly for left-linear variables."""
+    right = {v.name for v in g.variables
+             if classify_variable(g, v) is VariableClass.LEFT_LINEAR}
+    return {v.name for v in g.variables} - right, right
+
+
 def grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
     """Automaton accepting exactly the grammar's language (may use lambda moves)."""
     return _slnf_to_nla(to_slnf(g), "left")
@@ -81,11 +74,7 @@ def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     """
     alphabet = sorted(m.alphabet)
     used = set(alphabet)
-    var_of: dict[str, str] = {}
-    for q in sorted(m.states):
-        name = fresh_name(q, used)
-        used.add(name)
-        var_of[q] = name
+    var_of = {q: fresh_name(q, used) for q in sorted(m.states)}
     prods: list[tuple[str, list[str]]] = []
     for q, a, targets in m.transitions():
         for t in sorted(targets):
@@ -117,12 +106,9 @@ def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
     for p in gh.productions:
         # The determinism-preserving pipeline cannot emit unit or bare-terminal
         # bodies from a deterministic grammar; guard rather than assume.
-        assert not p.body or _is_read_body(p.body), f"unexpected body shape: {p}"
-    left: set[str] = set()
-    right: set[str] = set()
-    for v in gh.variables:
-        cls = classify_variable(gh, v)
-        (right if cls is VariableClass.LEFT_LINEAR else left).add(v.name)
+        assert not p.body or (len(p.body) == 2 and _slnf_body_ok(p.body)), \
+            f"unexpected body shape: {p}"
+    left, right = _sides(gh)
     delta: dict[tuple[str, str], set[str]] = {}
     final = set()
     for p in gh.productions:
@@ -150,7 +136,6 @@ def even_grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
     for p in nf.sorted_productions():
         if len(p.body) == 3:
             c = variable(fresh_name(p.head.name, used))
-            used.add(c.name)
             variables.add(c)
             prods.append(Production(p.head, (p.body[0], c)))
             prods.append(Production(c, (p.body[1], p.body[2])))
@@ -170,18 +155,15 @@ def even_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     if not is_even(m):
         raise NotEven("automaton has a transition inside one state class")
     mid = nla_to_grammar(m)
-    bodies: dict[Symbol, list[tuple[Symbol, ...]]] = {v: [] for v in mid.variables}
-    for p in mid.productions:
-        bodies[p.head].append(p.body)
     prods: set[Production] = set()
     for p in mid.productions:
         body = p.body
         if not body:
             prods.add(p)
         elif body[0].kind is SymbolKind.TERMINAL:
-            for x in bodies[body[1]]:
-                prods.add(Production(p.head, (body[0],) + x))
+            for x in mid.productions_of(body[1]):
+                prods.add(Production(p.head, (body[0],) + x.body))
         else:
-            for x in bodies[body[0]]:
-                prods.add(Production(p.head, x + (body[1],)))
+            for x in mid.productions_of(body[0]):
+                prods.add(Production(p.head, x.body + (body[1],)))
     return LinearGrammar(mid.variables, mid.terminals, mid.start, frozenset(prods))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -117,21 +118,24 @@ class LinearGrammar:
                    if p.head not in declared or not declared.issuperset(p.body)]:
             name = min(s.name for p in bad for s in (p.head, *p.body) if s not in declared)
             raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
+        # One sort, grouped by head: every per-variable pass reads this index.
+        ordered = tuple(sorted(self.productions, key=Production.sort_key))
+        object.__setattr__(self, "_sorted", ordered)
+        object.__setattr__(self, "_by_head", {v: tuple(ps) for v, ps in
+                                              groupby(ordered, key=attrgetter("head"))})
 
     # -- conveniences used throughout the package --
 
     def variable_named(self, name: str) -> Symbol:
-        for s in self.variables:
-            if s.name == name:
-                return s
+        if (v := variable(name)) in self.variables:
+            return v
         raise UnknownSymbol(f"no variable named {name!r}")
 
     def productions_of(self, head: Symbol) -> tuple[Production, ...]:
-        return tuple(sorted((p for p in self.productions if p.head == head),
-                            key=Production.sort_key))
+        return self._by_head.get(head, ())
 
     def sorted_productions(self) -> tuple[Production, ...]:
-        return tuple(sorted(self.productions, key=Production.sort_key))
+        return self._sorted
 
     def sorted_variables(self) -> tuple[Symbol, ...]:
         rest = sorted((s for s in self.variables if s != self.start), key=lambda s: s.name)
@@ -175,9 +179,7 @@ def classify_variable(g: LinearGrammar, v: Symbol | str) -> VariableClass:
     if v not in g.variables:
         raise UnknownSymbol(f"no variable named {v.name!r}")
     right = left = True
-    for p in g.productions:
-        if p.head != v:
-            continue
+    for p in g.productions_of(v):
         idx = p.variable_index
         if idx is None:
             continue
@@ -214,7 +216,6 @@ def to_lnf(g: LinearGrammar) -> LinearGrammar:
         idx = p.variable_index
         if idx is not None and 0 < idx < len(p.body) - 1:
             c = variable(fresh_name(p.head.name, used))
-            used.add(c.name)
             variables.add(c)
             prods.append(Production(p.head, p.body[:idx] + (c,)))
             prods.append(Production(c, p.body[idx:]))
@@ -225,16 +226,12 @@ def to_lnf(g: LinearGrammar) -> LinearGrammar:
              if classify_variable(stage, v) is VariableClass.NEITHER]
     if not mixed:
         return stage
-    prods = list(stage.productions)
-    for v in mixed:
-        funnel = variable(fresh_name(v.name, used))
-        used.add(funnel.name)
-        variables.add(funnel)
-        for p in stage.productions_of(v):
-            if p.variable_index == 0 and len(p.body) > 1:
-                prods.remove(p)
-                prods.append(Production(funnel, p.body))
-        prods.append(Production(v, (funnel,)))
+    funnels = {v: variable(fresh_name(v.name, used)) for v in mixed}
+    variables.update(funnels.values())
+    prods = {Production(v, (f,)) for v, f in funnels.items()}
+    for p in stage.productions:
+        moved = p.head in funnels and p.variable_index == 0 and len(p.body) > 1
+        prods.add(Production(funnels[p.head], p.body) if moved else p)
     return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
 
 
@@ -275,7 +272,6 @@ def to_slnf(g: LinearGrammar) -> LinearGrammar:
                 prods.append(Production(head, body))
                 break
             nv = variable(fresh_name(p.head.name, used))
-            used.add(nv.name)
             variables.add(nv)
             if from_right:
                 prods.append(Production(head, (nv, body[-1])))
@@ -366,7 +362,6 @@ def to_even_normal_form(g: LinearGrammar) -> LinearGrammar:
                 prods.append(Production(head, body))
                 break
             nv = variable(fresh_name(p.head.name, used))
-            used.add(nv.name)
             variables.add(nv)
             prods.append(Production(head, (body[0], nv, body[-1])))
             head, body = nv, body[1:-1]
@@ -379,12 +374,14 @@ def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
     Sentential forms of a linear grammar are (prefix, variable, suffix)
     triples; flanks never shrink, so pruning at ``max_len`` total flank
     symbols plus a visited set over triples guarantees termination even
-    through unit-production cycles.  Sorted by length, then lexicographically.
+    through unit-production cycles.  Terminals are single characters, so the
+    flanks are plain strings whose length is their symbol count.  Sorted by
+    length, then lexicographically.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    words: dict[str, int] = {}
-    start = ((), g.start, ())
+    words: set[str] = set()
+    start = ("", g.start, "")
     seen = {start}
     frontier = deque([start])
     while frontier:
@@ -392,18 +389,16 @@ def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
         for p in g.productions_of(v):
             idx = p.variable_index
             if idx is None:
-                total = len(prefix) + len(p.body) + len(suffix)
-                if total <= max_len:
-                    word = "".join(prefix) + "".join(s.name for s in p.body) + "".join(suffix)
-                    if word not in words or words[word] > total:
-                        words[word] = total
+                word = prefix + "".join(s.name for s in p.body) + suffix
+                if len(word) <= max_len:
+                    words.add(word)
             else:
-                np = prefix + tuple(s.name for s in p.body[:idx])
-                ns = tuple(s.name for s in p.body[idx + 1:]) + suffix
+                np = prefix + "".join(s.name for s in p.body[:idx])
+                ns = "".join(s.name for s in p.body[idx + 1:]) + suffix
                 if len(np) + len(ns) > max_len:
                     continue
                 node = (np, p.body[idx], ns)
                 if node not in seen:
                     seen.add(node)
                     frontier.append(node)
-    return sorted(words, key=lambda w: (words[w], w))
+    return sorted(words, key=lambda w: (len(w), w))

@@ -77,9 +77,7 @@ def pad_ndeg(m: LinearAutomaton, symbol: str) -> LinearAutomaton:
     if m.has_lambda_moves:
         raise HasLambdaMoves("pad_ndeg is defined only for lambda-free automata")
     used = set(m.states)
-    x1 = fresh_name("x_1", used)
-    used.add(x1)
-    x2 = fresh_name("x_2", used)
+    x1, x2 = fresh_name("x_1", used), fresh_name("x_2", used)
     delta = dict(m.delta)
     delta[(x1, symbol)] = frozenset({x1, x2})
     return replace(m, left_states=m.left_states | {x1, x2}, delta=delta)

@@ -34,11 +34,14 @@ def fresh_name(base: str, used: set[str]) -> str:
     """Smallest-index name of the form ``<base>_k`` not present in ``used``.
 
     Falls back to ``base`` itself when it is free, so generated names stay
-    readable; callers mutate ``used`` themselves if they allocate repeatedly.
+    readable.  The name is added to ``used``, so repeated calls on one set
+    never hand out the same name twice.
     """
-    if base not in used and is_valid_name(base):
-        return base
-    k = 1
-    while f"{base}_{k}" in used:
-        k += 1
-    return f"{base}_{k}"
+    name = base
+    if base in used or not is_valid_name(base):
+        k = 1
+        while f"{base}_{k}" in used:
+            k += 1
+        name = f"{base}_{k}"
+    used.add(name)
+    return name
