@@ -16,6 +16,7 @@ import enum
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -78,7 +79,7 @@ class LinearAutomaton:
                 t = min(missing)
                 raise UnknownState(f"transition into undeclared state {t!r}", subject=t)
 
-    @property
+    @cached_property
     def states(self) -> frozenset[str]:
         return self.left_states | self.right_states
 
@@ -151,44 +152,47 @@ def step(m: LinearAutomaton, ident: InstantaneousDescription, word: str,
 
 
 def accepts(m: LinearAutomaton, word: str) -> bool:
-    """Search the finite description space for an accepting configuration."""
+    """Sweep the lambda-free automaton over the word one read at a time.
+
+    After k reads a configuration (q, lo, hi) has hi = n - k + lo, so each
+    level keeps one bitset over ``lo`` per state.  With bit i of ``masks[a]``
+    set when ``word[i] == a``, a left read is ``(S & masks[a]) << 1`` and a
+    right read is ``S & (masks[a] >> (n - 1 - k))``.
+    """
     _check_word(m, word)
-    frontier = deque(InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial))
-    seen = set(frontier)
-    while frontier:
-        ident = frontier.popleft()
-        if ident.lo >= ident.hi and ident.state in m.final:
-            return True
-        for nxt in step(m, ident, word):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
-
-
-def _ordered_successors(m: LinearAutomaton, ident: InstantaneousDescription,
-                        word: str) -> list[InstantaneousDescription]:
-    # Reading moves first, lambda moves last, targets in name order.
-    q, lo, hi = ident
-    out: list[InstantaneousDescription] = []
-    if lo < hi:
-        if q in m.left_states:
-            out += [InstantaneousDescription(t, lo + 1, hi)
-                    for t in sorted(m.targets(q, word[lo]))]
-        elif q in m.right_states:
-            out += [InstantaneousDescription(t, lo, hi - 1)
-                    for t in sorted(m.targets(q, word[hi - 1]))]
-    out += [InstantaneousDescription(t, lo, hi) for t in sorted(m.targets(q, LAMBDA))]
-    return out
+    if m.has_lambda_moves:
+        m = eliminate_lambda(m)
+    n = len(word)
+    masks = dict.fromkeys(word, 0)
+    for i, ch in enumerate(word):
+        masks[ch] |= 1 << i
+    level = dict.fromkeys(m.initial, 1)
+    for k in range(n):
+        if not level:
+            return False
+        shift = n - 1 - k
+        nxt: dict[str, int] = {}
+        for q, s in level.items():
+            left = q in m.left_states
+            for a, mask in masks.items():
+                moved = (s & mask) << 1 if left else s & (mask >> shift)
+                if moved:
+                    for t in m.targets(q, a):
+                        nxt[t] = nxt.get(t, 0) | moved
+        level = nxt
+    return not m.final.isdisjoint(level)
 
 
 def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
     """One accepting run as (state, remaining-substring) pairs, or None.
 
     Depth-first with a fixed tie-break (reading moves before lambda moves,
-    target states in name order), so the returned run is reproducible.
+    target states in name order), so the returned run is reproducible.  A
+    rejected word is decided by ``accepts`` first, since the search would
+    visit every reachable description before giving up.
     """
-    _check_word(m, word)
+    if not accepts(m, word):
+        return None
     starts = [InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial)]
     stack: list[tuple[InstantaneousDescription, InstantaneousDescription | None]]
     stack = [(ident, None) for ident in reversed(starts)]
@@ -205,7 +209,9 @@ def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
                 path.append((node.state, node.remaining(word)))
                 node = parent[node]
             return path[::-1]
-        for nxt in reversed(_ordered_successors(m, ident, word)):
+        # a read leaves less input than a lambda move, so it sorts first
+        for nxt in sorted(step(m, ident, word), key=lambda i: (i.hi - i.lo, i.state),
+                          reverse=True):
             if nxt not in parent:
                 stack.append((nxt, ident))
     return None
@@ -234,19 +240,11 @@ def eliminate_lambda(m: LinearAutomaton) -> LinearAutomaton:
     read, and a lambda move may cross between the two classes.
     """
     closures = {q: lambda_closure(m, q) for q in m.states}
-    delta: dict[tuple[str, str], frozenset[str]] = {}
-    for (q, a), targets in m.delta.items():
-        if a == LAMBDA:
-            continue
-        folded: set[str] = set()
-        for t in targets:
-            folded |= closures[t]
-        delta[(q, a)] = frozenset(folded)
-    initial: set[str] = set()
-    for q in m.initial:
-        initial |= closures[q]
+    delta = {(q, a): frozenset().union(*(closures[t] for t in targets))
+             for (q, a), targets in m.delta.items() if a != LAMBDA}
+    initial = frozenset().union(*(closures[q] for q in m.initial))
     return LinearAutomaton(m.left_states, m.right_states, m.alphabet,
-                           delta, frozenset(initial), m.final)
+                           delta, initial, m.final)
 
 
 def is_deterministic(m: LinearAutomaton) -> bool:
@@ -348,12 +346,14 @@ def determinize(m: LinearAutomaton) -> LinearAutomaton:
 def enumerate_accepted(m: LinearAutomaton, max_len: int) -> list[str]:
     """All accepted words of at most ``max_len`` symbols.
 
-    Enumerates partial runs as (state, consumed-prefix, consumed-suffix)
-    triples instead of filtering every word, so sparse languages come out
-    fast; a visited set bounds the search.
+    Enumerates partial runs of the lambda-free automaton as (state,
+    consumed-prefix, consumed-suffix) triples instead of filtering every
+    word, so sparse languages come out fast; a visited set bounds the search.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    if m.has_lambda_moves:
+        m = eliminate_lambda(m)
     words: set[str] = set()
     start = [(q, "", "") for q in sorted(m.initial)]
     seen = set(start)
@@ -362,8 +362,7 @@ def enumerate_accepted(m: LinearAutomaton, max_len: int) -> list[str]:
         q, prefix, suffix = frontier.popleft()
         if q in m.final:
             words.add(prefix + suffix)
-        room = len(prefix) + len(suffix) < max_len
-        if room:
+        if len(prefix) + len(suffix) < max_len:
             reads_left = q in m.left_states
             for a in sorted(m.alphabet):
                 grown = (prefix + a, suffix) if reads_left else (prefix, a + suffix)
@@ -372,11 +371,6 @@ def enumerate_accepted(m: LinearAutomaton, max_len: int) -> list[str]:
                     if node not in seen:
                         seen.add(node)
                         frontier.append(node)
-        for t in sorted(m.targets(q, LAMBDA)):
-            node = (t, prefix, suffix)
-            if node not in seen:
-                seen.add(node)
-                frontier.append(node)
     return sorted(words, key=lambda w: (len(w), w))
 
 

@@ -380,24 +380,29 @@ def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    # Each production as (left flank, variable name or None, right flank),
+    # split once; nodes hold names, which hash faster than symbols.
+    rules: dict[str, list[tuple[str, str | None, str]]] = {}
+    for p in g.sorted_productions():
+        idx = p.variable_index
+        names = [s.name for s in p.body]
+        rules.setdefault(p.head.name, []).append(
+            ("".join(names), None, "") if idx is None else
+            ("".join(names[:idx]), names[idx], "".join(names[idx + 1:])))
     words: set[str] = set()
-    start = ("", g.start, "")
+    start = ("", g.start.name, "")
     seen = {start}
     frontier = deque([start])
     while frontier:
         prefix, v, suffix = frontier.popleft()
-        for p in g.productions_of(v):
-            idx = p.variable_index
-            if idx is None:
-                word = prefix + "".join(s.name for s in p.body) + suffix
-                if len(word) <= max_len:
-                    words.add(word)
+        for left, var, right in rules.get(v, ()):
+            np, ns = prefix + left, right + suffix
+            if len(np) + len(ns) > max_len:
+                continue
+            if var is None:
+                words.add(np + ns)
             else:
-                np = prefix + "".join(s.name for s in p.body[:idx])
-                ns = "".join(s.name for s in p.body[idx + 1:]) + suffix
-                if len(np) + len(ns) > max_len:
-                    continue
-                node = (np, p.body[idx], ns)
+                node = (np, var, ns)
                 if node not in seen:
                     seen.add(node)
                     frontier.append(node)

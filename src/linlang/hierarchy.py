@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .automaton import LinearAutomaton, ndeg, validate_automaton
-from .errors import HasLambdaMoves, SymbolNotInAlphabet
+from .automaton import LinearAutomaton, _require_lambda_free, ndeg, validate_automaton
+from .errors import SymbolNotInAlphabet
 from .naming import fresh_name
 
 
@@ -74,8 +74,7 @@ def pad_ndeg(m: LinearAutomaton, symbol: str) -> LinearAutomaton:
     """
     if symbol not in m.alphabet:
         raise SymbolNotInAlphabet(f"symbol {symbol!r} is not in the alphabet")
-    if m.has_lambda_moves:
-        raise HasLambdaMoves("pad_ndeg is defined only for lambda-free automata")
+    _require_lambda_free(m, "pad_ndeg")
     used = set(m.states)
     x1, x2 = fresh_name("x_1", used), fresh_name("x_2", used)
     delta = dict(m.delta)

@@ -1,12 +1,20 @@
-"""Shared test utilities: word enumeration, a reference NFA, random inputs."""
+"""Shared test utilities: word enumeration, reference simulators, random inputs."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from pathlib import Path
 
-from linlang import LinearAutomaton, LinearGrammar, validate_automaton, validate_grammar
+from linlang import (
+    InstantaneousDescription,
+    LinearAutomaton,
+    LinearGrammar,
+    step,
+    validate_automaton,
+    validate_grammar,
+)
 from linlang.automaton import LAMBDA
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "linlang" / "corpus" / "data"
@@ -55,6 +63,25 @@ class RefNfa:
                 nxt |= self.delta.get((q, ch), set())
             cur = self._eps_closure(nxt)
         return bool(cur & self.final)
+
+
+def reference_accepts(m: LinearAutomaton, word: str) -> bool:
+    """Breadth-first search over (state, lo, hi) descriptions by ``step``.
+
+    The slow reference for ``accepts``: it follows lambda moves as they
+    are and keeps every visited description, O(|Q|·n²) of them.
+    """
+    frontier = deque(InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial))
+    seen = set(frontier)
+    while frontier:
+        ident = frontier.popleft()
+        if ident.lo >= ident.hi and ident.state in m.final:
+            return True
+        for nxt in step(m, ident, word):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
 
 
 def random_grammar(rng: random.Random) -> LinearGrammar:

@@ -131,6 +131,13 @@ class TestTrace:
                            ("q1", "bbaa"), ("p1", "baa")]
         assert run[-1][0] in EX_NLA.final and run[-1][1] == ""
 
+    def test_reads_before_lambda_moves_then_name_order(self):
+        m = validate_automaton(left=["q", "p", "f", "g"], right=[], alphabet=["a"],
+                               delta={("q", "a"): {"g", "f"}, ("q", LAMBDA): {"p"},
+                                      ("p", "a"): {"f"}},
+                               initial=["q"], final=["f", "g"])
+        assert trace(m, "a") == [("q", "a"), ("f", "")]
+
     def test_rejected_word_has_no_trace(self):
         assert trace(EX_NLA, "ba") is None
 

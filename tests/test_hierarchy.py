@@ -1,6 +1,7 @@
 import pytest
 
 from linlang import (
+    accepts,
     build_lk_automaton,
     enumerate_accepted,
     hierarchy_witness,
@@ -54,6 +55,15 @@ class TestBuildLk:
             got = enumerate_accepted(m, 12)
             want = by_length(w for w in all_words("ab", 12) if lk_predicate(k, w))
             assert got == want, k
+
+    def test_long_words_match_predicate(self):
+        m = build_lk_automaton(20)
+        for a, b in ((1000, 1000), (100, 2100), (150, 3150)):
+            word = "a" * a + "b" * b
+            assert accepts(m, word) == lk_predicate(20, word), (a, b)
+            for i in (0, a - 1, a, len(word) - 1):
+                flipped = word[:i] + ("b" if word[i] == "a" else "a") + word[i + 1:]
+                assert accepts(m, flipped) == lk_predicate(20, flipped), (a, b, i)
 
     def test_determinizability_threshold(self):
         assert is_determinizable(build_lk_automaton(0))

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from linlang import (
+    accepts,
     class_swapped,
     determinize,
     eliminate_lambda,
@@ -25,11 +26,12 @@ from linlang import (
     serialize_grammar,
     to_lnf,
     to_slnf,
+    trace,
     validate_grammar,
 )
 from linlang.grammar import VariableClass, classify_variable
 
-from helpers import by_length, random_automaton, random_grammar
+from helpers import all_words, by_length, random_automaton, random_grammar, reference_accepts
 
 VARS = ["S", "A", "B"]
 TERMS = ["a", "b"]
@@ -127,6 +129,20 @@ def test_automaton_properties_over_seeded_inputs():
             d = determinize(lam_free)
             assert is_deterministic(d)
             assert enumerate_accepted(d, 6) == enumerate_accepted(lam_free, 6)
+
+
+def test_simulation_agrees_with_reference_search():
+    rng = random.Random(0xACCE)
+    for i in range(300):
+        m = random_automaton(rng, allow_lambda=i % 2 == 0)
+        accepted = []
+        for word in all_words("".join(m.alphabet), 6):
+            want = reference_accepts(m, word)
+            assert accepts(m, word) == want, (m, word)
+            assert (trace(m, word) is not None) == want, (m, word)
+            if want:
+                accepted.append(word)
+        assert enumerate_accepted(m, 6) == by_length(accepted), m
 
 
 def test_grammar_roundtrip_conversions_over_seeded_inputs():
