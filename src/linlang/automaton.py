@@ -29,6 +29,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
+from .grammar import _enumerate_words
 from .naming import check_name, fresh_name
 
 #: Internal marker for the empty-string move; rendered as ``eps`` in all I/O.
@@ -86,6 +87,11 @@ class LinearAutomaton:
     @property
     def has_lambda_moves(self) -> bool:
         return any(a == LAMBDA for (_, a) in self.delta)
+
+    @cached_property
+    def _lambda_free(self) -> LinearAutomaton:
+        # built on first use, so each automaton folds its lambda moves once
+        return eliminate_lambda(self) if self.has_lambda_moves else self
 
     def class_of(self, q: str) -> StateClass:
         if q in self.left_states:
@@ -160,8 +166,7 @@ def accepts(m: LinearAutomaton, word: str) -> bool:
     right read is ``S & (masks[a] >> (n - 1 - k))``.
     """
     _check_word(m, word)
-    if m.has_lambda_moves:
-        m = eliminate_lambda(m)
+    m = m._lambda_free
     n = len(word)
     masks = dict.fromkeys(word, 0)
     for i, ch in enumerate(word):
@@ -343,35 +348,29 @@ def determinize(m: LinearAutomaton) -> LinearAutomaton:
                            delta, frozenset(initial), frozenset(final))
 
 
-def enumerate_accepted(m: LinearAutomaton, max_len: int) -> list[str]:
-    """All accepted words of at most ``max_len`` symbols.
+def _move_rules(m: LinearAutomaton) -> dict[str, list[tuple[str, str | None, str]]]:
+    """Every move read as its linear production, keyed by source state.
 
-    Enumerates partial runs of the lambda-free automaton as (state,
-    consumed-prefix, consumed-suffix) triples instead of filtering every
-    word, so sparse languages come out fast; a visited set bounds the search.
+    A left read q -a-> t is q -> a t, a right read q -> t a, a lambda move
+    the unit production q -> t (LAMBDA is the empty flank), and a final
+    state q erases.  Rules are (left flank, target or None, right flank).
     """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    if m.has_lambda_moves:
-        m = eliminate_lambda(m)
-    words: set[str] = set()
-    start = [(q, "", "") for q in sorted(m.initial)]
-    seen = set(start)
-    frontier = deque(start)
-    while frontier:
-        q, prefix, suffix = frontier.popleft()
-        if q in m.final:
-            words.add(prefix + suffix)
-        if len(prefix) + len(suffix) < max_len:
-            reads_left = q in m.left_states
-            for a in sorted(m.alphabet):
-                grown = (prefix + a, suffix) if reads_left else (prefix, a + suffix)
-                for t in sorted(m.targets(q, a)):
-                    node = (t, *grown)
-                    if node not in seen:
-                        seen.add(node)
-                        frontier.append(node)
-    return sorted(words, key=lambda w: (len(w), w))
+    rules: dict[str, list[tuple[str, str | None, str]]] = {}
+    for (q, a), targets in m.delta.items():
+        left, right = (a, "") if q in m.left_states else ("", a)
+        rules.setdefault(q, []).extend((left, t, right) for t in targets)
+    for q in m.final:
+        rules.setdefault(q, []).append(("", None, ""))
+    return rules
+
+
+def enumerate_accepted(m: LinearAutomaton, max_len: int) -> list[str]:
+    """All accepted words of at most ``max_len`` symbols, shortest first.
+
+    The moves are derived as productions instead of every word being
+    filtered, so sparse languages come out fast.
+    """
+    return _enumerate_words(_move_rules(m), m.initial, max_len)
 
 
 def class_swapped(m: LinearAutomaton) -> LinearAutomaton:

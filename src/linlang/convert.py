@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .automaton import LAMBDA, LinearAutomaton, is_even, validate_automaton
+from .automaton import LAMBDA, LinearAutomaton, _move_rules, is_even, validate_automaton
 from .errors import NotDeterministicLinear, NotEven, NotEvenLinear
 from .grammar import (
     LinearGrammar,
@@ -67,25 +67,15 @@ def grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
 def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     """Grammar generating exactly the automaton's language.
 
-    One variable per state: left-state reads become terminal-first bodies,
-    right-state reads terminal-last bodies, lambda moves unit productions,
-    and final states erase.  Several start states are merged by copying
-    their productions onto a fresh start variable.
+    One variable per state and one production per move, as read by
+    ``_move_rules``.  Several start states are merged by copying their
+    productions onto a fresh start variable.
     """
     alphabet = sorted(m.alphabet)
     used = set(alphabet)
     var_of = {q: fresh_name(q, used) for q in sorted(m.states)}
-    prods: list[tuple[str, list[str]]] = []
-    for q, a, targets in m.transitions():
-        for t in sorted(targets):
-            if a == LAMBDA:
-                prods.append((var_of[q], [var_of[t]]))
-            elif q in m.left_states:
-                prods.append((var_of[q], [a, var_of[t]]))
-            else:
-                prods.append((var_of[q], [var_of[t], a]))
-    for q in sorted(m.final):
-        prods.append((var_of[q], []))
+    prods = [(var_of[q], [] if t is None else [*left, var_of[t], *right])
+             for q, rules in _move_rules(m).items() for left, t, right in rules]
     variables = [var_of[q] for q in sorted(m.states)]
     if len(m.initial) == 1:
         start = var_of[next(iter(m.initial))]

@@ -213,6 +213,8 @@ def fixture_ids() -> list[str]:
 
 def load_fixture(fixture_id: str) -> Fixture:
     """Fetch one registered fixture; payloads are parsed from the data files."""
+    if fixture_id not in fixture_ids():
+        raise UnknownFixture(f"no fixture registered as {fixture_id!r}")
     if fixture_id in _GRAMMARS:
         filename, provenance, caveats = _GRAMMARS[fixture_id]
         payload = textio.parse_grammar(_read_data(filename))
@@ -221,19 +223,15 @@ def load_fixture(fixture_id: str) -> Fixture:
         filename, provenance, caveats = _AUTOMATA[fixture_id]
         payload = textio.parse_automaton(_read_data(filename))
         return Fixture(fixture_id, "automaton", payload, provenance, caveats)
-    if fixture_id.startswith("lk_automaton_"):
-        suffix = fixture_id.removeprefix("lk_automaton_")
-        if suffix.isdigit() and int(suffix) <= MAX_LK:
-            k = int(suffix)
-            payload = textio.parse_automaton(_read_data(f"lk_{k}.lin"))
-            return Fixture(fixture_id, "automaton", payload,
-                           _LK_PROVENANCE.format(k=k, k1=k + 1),
-                           "accepts the empty word (the start state is final); "
-                           "the m >= 1 reading ships as lk_predicate_strict")
     if fixture_id in _PREDICATES:
         func, provenance = _PREDICATES[fixture_id]
         return Fixture(fixture_id, "predicate", func, provenance)
-    raise UnknownFixture(f"no fixture registered as {fixture_id!r}")
+    # every other listed id is lk_automaton_<k> with k in 0..MAX_LK
+    k = int(fixture_id.removeprefix("lk_automaton_"))
+    payload = textio.parse_automaton(_read_data(f"lk_{k}.lin"))
+    return Fixture(fixture_id, "automaton", payload, _LK_PROVENANCE.format(k=k, k1=k + 1),
+                   "accepts the empty word (the start state is final); "
+                   "the m >= 1 reading ships as lk_predicate_strict")
 
 
 def oracle_for(fixture_id: str) -> Callable[[str], bool]:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateSymbol,
@@ -368,31 +368,24 @@ def to_even_normal_form(g: LinearGrammar) -> LinearGrammar:
     return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
 
 
-def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
-    """All derivable terminal strings of at most ``max_len`` symbols.
+def _enumerate_words(rules: Mapping[str, Sequence[tuple[str, str | None, str]]],
+                     starts: Iterable[str], max_len: int) -> list[str]:
+    """All terminal strings of at most ``max_len`` symbols derivable from ``starts``.
 
-    Sentential forms of a linear grammar are (prefix, variable, suffix)
-    triples; flanks never shrink, so pruning at ``max_len`` total flank
-    symbols plus a visited set over triples guarantees termination even
-    through unit-production cycles.  Terminals are single characters, so the
-    flanks are plain strings whose length is their symbol count.  Sorted by
-    length, then lexicographically.
+    ``rules`` maps a variable name to its productions, each read as (left
+    flank, variable name or None, right flank).  Sentential forms are
+    (prefix, variable, suffix) triples; flanks never shrink, so pruning at
+    ``max_len`` total flank symbols plus a visited set over triples
+    guarantees termination even through unit-production cycles.  Terminals
+    are single characters, so a flank's length is its symbol count.  Words
+    come sorted by length, then lexicographically.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    # Each production as (left flank, variable name or None, right flank),
-    # split once; nodes hold names, which hash faster than symbols.
-    rules: dict[str, list[tuple[str, str | None, str]]] = {}
-    for p in g.sorted_productions():
-        idx = p.variable_index
-        names = [s.name for s in p.body]
-        rules.setdefault(p.head.name, []).append(
-            ("".join(names), None, "") if idx is None else
-            ("".join(names[:idx]), names[idx], "".join(names[idx + 1:])))
     words: set[str] = set()
-    start = ("", g.start.name, "")
-    seen = {start}
-    frontier = deque([start])
+    start = [("", v, "") for v in starts]
+    seen = set(start)
+    frontier = deque(start)
     while frontier:
         prefix, v, suffix = frontier.popleft()
         for left, var, right in rules.get(v, ()):
@@ -407,3 +400,17 @@ def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
                     seen.add(node)
                     frontier.append(node)
     return sorted(words, key=lambda w: (len(w), w))
+
+
+def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
+    """All derivable terminal strings of at most ``max_len`` symbols, shortest first."""
+    # Each production as (left flank, variable name or None, right flank),
+    # split once; nodes hold names, which hash faster than symbols.
+    rules: dict[str, list[tuple[str, str | None, str]]] = {}
+    for p in g.sorted_productions():
+        idx = p.variable_index
+        names = [s.name for s in p.body]
+        rules.setdefault(p.head.name, []).append(
+            ("".join(names), None, "") if idx is None else
+            ("".join(names[:idx]), names[idx], "".join(names[idx + 1:])))
+    return _enumerate_words(rules, [g.start.name], max_len)

@@ -21,6 +21,7 @@ from linlang import (
     trace,
     validate_automaton,
 )
+from linlang import automaton
 from linlang.automaton import LAMBDA
 from linlang.corpus import load_fixture
 from linlang.errors import (
@@ -121,6 +122,19 @@ class TestAccepts:
     def test_symbol_outside_alphabet(self):
         with pytest.raises(SymbolNotInAlphabet):
             accepts(EX_NLA, "abc")
+
+    def test_lambda_moves_are_folded_once_per_automaton(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return eliminate_lambda(m)
+
+        monkeypatch.setattr(automaton, "eliminate_lambda", counting)
+        m = load_fixture("ex_nla").payload
+        for w in all_words("ab", 5)[:50]:
+            accepts(m, w)
+        assert len(calls) == 1
 
 
 class TestTrace:

@@ -5,6 +5,7 @@ from linlang import (
     VariableClass,
     classify_variable,
     eliminate_unit_productions,
+    enumerate_accepted,
     enumerate_language,
     is_deterministic_linear,
     is_even_linear,
@@ -266,6 +267,8 @@ class TestEnumerate:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             enumerate_language(EX_LG, -1)
+        with pytest.raises(ValueError):
+            enumerate_accepted(load_fixture("ex_nla").payload, -1)
 
 
 def test_transformations_preserve_language_on_corpus():
