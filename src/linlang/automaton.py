@@ -30,7 +30,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .grammar import _enumerate_words
-from .naming import check_name, fresh_name
+from .naming import NamePool, check_name
 
 #: Internal marker for the empty-string move; rendered as ``eps`` in all I/O.
 LAMBDA = ""
@@ -336,8 +336,8 @@ def determinize(m: LinearAutomaton) -> LinearAutomaton:
     if mixed:
         worst = sorted(mixed[0])
         raise NotDeterminizable(f"subset mixes both classes: {worst}")
-    used: set[str] = set()
-    names = {x: fresh_name("_".join(sorted(x)), used) for x in subsets}
+    pool = NamePool()
+    names = {x: pool.fresh("_".join(sorted(x))) for x in subsets}
     left = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_LEFT}
     right = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_RIGHT}
     delta = {(names[x], a): {names[y]}

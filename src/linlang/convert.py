@@ -7,56 +7,53 @@ from .errors import NotDeterministicLinear, NotEven, NotEvenLinear
 from .grammar import (
     LinearGrammar,
     Production,
-    SymbolKind,
     classify_variable,
     VariableClass,
     _slnf_body_ok,
     is_deterministic_linear,
     is_even_linear,
     to_even_normal_form,
+    terminal,
     to_slnf,
-    validate_grammar,
     variable,
 )
-from .naming import fresh_name
+from .naming import NamePool
 
 
-def _slnf_to_nla(g: LinearGrammar, sink_side: str) -> LinearAutomaton:
+def _slnf_to_nla(g: LinearGrammar, sink_side: str | None) -> LinearAutomaton:
     """Core grammar-to-automaton build; ``g`` must already be in strong form.
 
-    One state per variable plus a fresh final sink.  A left-linear variable
-    (variable-then-terminal reads) is a right state; every other variable
-    reads terminal-then-variable, or not at all, and is a left state.
+    One state per variable.  A left-linear variable (variable-then-terminal
+    reads) is a right state; every other variable reads terminal-then-
+    variable, or not at all, and is a left state.  An erasing body makes its
+    head final, a unit body is a lambda move, and a two-symbol body reads
+    its terminal into its variable.  A bare terminal reads into a fresh
+    final sink on side ``sink_side``, or None when ``g`` has no such body.
     The sink performs no reads, so its side is semantically inert; the even
     pipeline puts it on the right so the transition diagram stays bipartite.
     """
-    sink = fresh_name("sink", g.symbol_names())
-    left, right = _sides(g)
-    (left if sink_side == "left" else right).add(sink)
+    right = {v.name for v in g.variables
+             if classify_variable(g, v) is VariableClass.LEFT_LINEAR}
+    left = {v.name for v in g.variables} - right
+    final = set()
+    sink = NamePool(g.symbol_names()).fresh("sink") if sink_side else None
+    if sink:
+        (left if sink_side == "left" else right).add(sink)
+        final.add(sink)
     delta: dict[tuple[str, str], set[str]] = {}
-    final = {sink}
     for p in g.productions:
-        body = p.body
+        body, idx = p.body, p.variable_index
         if not body:
             final.add(p.head.name)
-        elif len(body) == 1 and body[0].kind is SymbolKind.VARIABLE:
-            delta.setdefault((p.head.name, LAMBDA), set()).add(body[0].name)
-        elif len(body) == 1:
-            delta.setdefault((p.head.name, body[0].name), set()).add(sink)
+            continue
+        if len(body) == 1:
+            sym, target = (LAMBDA, body[0].name) if idx == 0 else (body[0].name, sink)
         else:
-            t = body[0] if body[0].kind is SymbolKind.TERMINAL else body[1]
-            v = body[1] if body[0].kind is SymbolKind.TERMINAL else body[0]
-            delta.setdefault((p.head.name, t.name), set()).add(v.name)
+            sym, target = body[1 - idx].name, body[idx].name
+        delta.setdefault((p.head.name, sym), set()).add(target)
     return validate_automaton(left=left, right=right,
                               alphabet={t.name for t in g.terminals},
                               delta=delta, initial={g.start.name}, final=final)
-
-
-def _sides(g: LinearGrammar) -> tuple[set[str], set[str]]:
-    """Left and right state names: right exactly for left-linear variables."""
-    right = {v.name for v in g.variables
-             if classify_variable(g, v) is VariableClass.LEFT_LINEAR}
-    return {v.name for v in g.variables} - right, right
 
 
 def grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
@@ -71,21 +68,22 @@ def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     ``_move_rules``.  Several start states are merged by copying their
     productions onto a fresh start variable.
     """
-    alphabet = sorted(m.alphabet)
-    used = set(alphabet)
-    var_of = {q: fresh_name(q, used) for q in sorted(m.states)}
-    prods = [(var_of[q], [] if t is None else [*left, var_of[t], *right])
+    names = NamePool(m.alphabet)
+    var_of = {q: variable(names.fresh(q)) for q in sorted(m.states)}
+    terminals = frozenset(map(terminal, m.alphabet))
+    flank = {s.name: (s,) for s in terminals} | {LAMBDA: ()}  # a rule's flanks
+    prods = [Production(var_of[q], () if t is None else
+                        (*flank[left], var_of[t], *flank[right]))
              for q, rules in _move_rules(m).items() for left, t, right in rules]
-    variables = [var_of[q] for q in sorted(m.states)]
+    variables = set(var_of.values())
     if len(m.initial) == 1:
         start = var_of[next(iter(m.initial))]
     else:
-        start = fresh_name("S", used)
-        variables.append(start)
+        start = variable(names.fresh("S"))
+        variables.add(start)
         initial_vars = {var_of[q] for q in m.initial}
-        prods += [(start, list(body)) for head, body in prods if head in initial_vars]
-    return validate_grammar(variables=variables, terminals=alphabet,
-                            start=start, productions=prods)
+        prods += [Production(start, p.body) for p in prods if p.head in initial_vars]
+    return LinearGrammar(frozenset(variables), terminals, start, frozenset(prods))
 
 
 def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
@@ -98,19 +96,7 @@ def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
         # bodies from a deterministic grammar; guard rather than assume.
         assert not p.body or (len(p.body) == 2 and _slnf_body_ok(p.body)), \
             f"unexpected body shape: {p}"
-    left, right = _sides(gh)
-    delta: dict[tuple[str, str], set[str]] = {}
-    final = set()
-    for p in gh.productions:
-        if not p.body:
-            final.add(p.head.name)
-            continue
-        t = p.body[0] if p.body[0].kind is SymbolKind.TERMINAL else p.body[1]
-        v = p.body[1] if p.body[0].kind is SymbolKind.TERMINAL else p.body[0]
-        delta.setdefault((p.head.name, t.name), set()).add(v.name)
-    m = validate_automaton(left=left, right=right,
-                           alphabet={t.name for t in gh.terminals},
-                           delta=delta, initial={gh.start.name}, final=final)
+    m = _slnf_to_nla(gh, None)
     assert all(len(ts) == 1 for ts in m.delta.values())
     return m
 
@@ -120,12 +106,12 @@ def even_grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
     if not is_even_linear(g):
         raise NotEvenLinear("grammar has a body with unequal terminal flanks")
     nf = to_even_normal_form(g)
-    used = nf.symbol_names()
+    names = NamePool(nf.symbol_names())
     variables = set(nf.variables)
     prods: list[Production] = []
     for p in nf.sorted_productions():
         if len(p.body) == 3:
-            c = variable(fresh_name(p.head.name, used))
+            c = variable(names.fresh(p.head.name))
             variables.add(c)
             prods.append(Production(p.head, (p.body[0], c)))
             prods.append(Production(c, (p.body[1], p.body[2])))
@@ -150,7 +136,7 @@ def even_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
         body = p.body
         if not body:
             prods.add(p)
-        elif body[0].kind is SymbolKind.TERMINAL:
+        elif p.variable_index == 1:
             for x in mid.productions_of(body[1]):
                 prods.add(Production(p.head, (body[0],) + x.body))
         else:

@@ -2,14 +2,17 @@
 
 A grammar is linear when every production body holds at most one variable.
 All objects here are immutable values; every operation is a pure function,
-so concurrent use needs no synchronization.
+so concurrent use needs no synchronization.  A grammar caches its normal
+forms on first use; two threads racing to fill the cache build equal
+values, and either may be kept.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -21,7 +24,7 @@ from .errors import (
     StartNotDeclared,
     UnknownSymbol,
 )
-from .naming import check_name, fresh_name
+from .naming import NamePool, check_name
 
 
 class SymbolKind(enum.Enum):
@@ -29,48 +32,75 @@ class SymbolKind(enum.Enum):
     VARIABLE = "variable"
 
 
-@dataclass(frozen=True)
+# Hot paths read these: looking a member up on an Enum class is slow.
+_TERMINAL, _VARIABLE = SymbolKind.TERMINAL, SymbolKind.VARIABLE
+_set = object.__setattr__
+_kind, _name, _head = attrgetter("kind"), attrgetter("name"), attrgetter("head")
+
+
+@dataclass(frozen=True, slots=True)
 class Symbol:
     name: str
     kind: SymbolKind
+    _hash: int = field(init=False, repr=False, compare=False)  # hashed once
+
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.name, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes, so a copy rehashes
+        return Symbol, (self.name, self.kind)
 
     def __str__(self) -> str:
         return self.name
 
 
 def terminal(name: str) -> Symbol:
-    return Symbol(name, SymbolKind.TERMINAL)
+    return Symbol(name, _TERMINAL)
 
 
 def variable(name: str) -> Symbol:
-    return Symbol(name, SymbolKind.VARIABLE)
+    return Symbol(name, _VARIABLE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Production:
     """One rewrite rule; an empty body is the erasing production."""
 
     head: Symbol
     body: tuple[Symbol, ...]
+    #: Position of the body's variable, or None for terminal-only bodies.
+    variable_index: int | None = field(repr=False, compare=False)
+    # The names joined by spaces, which sort below every name character, so
+    # it sorts as ``sort_key`` does; str keeps its hash once computed.
+    _key: str = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "body", tuple(self.body))
-        if self.head.kind is not SymbolKind.VARIABLE:
-            raise UnknownSymbol(f"production head {self.head.name!r} is not a variable",
+    def __init__(self, head: Symbol, body: Iterable[Symbol]):
+        body = tuple(body)
+        _set(self, "head", head)
+        _set(self, "body", body)
+        if head.kind is not _VARIABLE:
+            raise UnknownSymbol(f"production head {head.name!r} is not a variable",
                                 subject=self)
-        if sum(1 for s in self.body if s.kind is SymbolKind.VARIABLE) > 1:
+        kinds = list(map(_kind, body))
+        if (count := kinds.count(_VARIABLE)) > 1:
             raise NotLinear(f"body of {self} holds more than one variable", subject=self)
+        _set(self, "variable_index", kinds.index(_VARIABLE) if count else None)
+        key = " ".join(map(str, (head.name, *map(_name, body))))
+        hash(key)
+        _set(self, "_key", key)
 
-    @property
-    def variable_index(self) -> int | None:
-        """Position of the body's variable, or None for terminal-only bodies."""
-        for i, s in enumerate(self.body):
-            if s.kind is SymbolKind.VARIABLE:
-                return i
-        return None
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self):
+        return Production, (self.head, self.body)
 
     def sort_key(self) -> tuple:
-        return (self.head.name, tuple(s.name for s in self.body))
+        return (self.head.name, tuple(map(_name, self.body)))
 
     def __str__(self) -> str:
         rhs = " ".join(s.name for s in self.body) if self.body else "eps"
@@ -92,15 +122,13 @@ class LinearGrammar:
     productions: frozenset[Production]
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", frozenset(self.variables))
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        object.__setattr__(self, "productions", frozenset(self.productions))
+        for name in ("variables", "terminals", "productions"):
+            _set(self, name, frozenset(getattr(self, name)))
         # Names are visited in sorted order, so of several faults the same
         # one is always reported.
-        for kind, pool in ((SymbolKind.VARIABLE, self.variables),
-                           (SymbolKind.TERMINAL, self.terminals)):
-            for s in sorted(pool, key=attrgetter("name")):
-                check_name(s.name, kind.value, single=kind is SymbolKind.TERMINAL)
+        for kind, pool in ((_VARIABLE, self.variables), (_TERMINAL, self.terminals)):
+            for s in sorted(pool, key=_name):
+                check_name(s.name, kind.value, single=kind is _TERMINAL)
                 if s.kind is not kind:
                     raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
                                         f"with kind {s.kind.value}", subject=s.name)
@@ -111,18 +139,18 @@ class LinearGrammar:
         if self.start not in self.variables:
             raise StartNotDeclared(f"start {self.start.name!r} is not a declared variable",
                                    subject=self.start.name)
-        # Heads are variables (Production checks), so declared heads are
-        # declared variables.
-        declared = self.variables | self.terminals
-        if bad := [p for p in self.productions
-                   if p.head not in declared or not declared.issuperset(p.body)]:
-            name = min(s.name for p in bad for s in (p.head, *p.body) if s not in declared)
+        used = set(map(_head, self.productions)).union(*(p.body for p in self.productions))
+        if bad := used - self.variables - self.terminals:
+            name = min(s.name for s in bad)
             raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
         # One sort, grouped by head: every per-variable pass reads this index.
-        ordered = tuple(sorted(self.productions, key=Production.sort_key))
-        object.__setattr__(self, "_sorted", ordered)
-        object.__setattr__(self, "_by_head", {v: tuple(ps) for v, ps in
-                                              groupby(ordered, key=attrgetter("head"))})
+        ordered = tuple(sorted(self.productions, key=attrgetter("_key")))
+        _set(self, "_sorted", ordered)
+        _set(self, "_by_head", {v: tuple(ps) for v, ps in groupby(ordered, _head)})
+
+    # Normal forms, built on first use, so each grammar folds them once.
+    _lnf = cached_property(lambda self: _build_lnf(self))
+    _slnf = cached_property(lambda self: _build_slnf(self._lnf))
 
     # -- conveniences used throughout the package --
 
@@ -167,8 +195,8 @@ def validate_grammar(*, variables: Iterable[str], terminals: Iterable[str],
                                  tuple(table.get(n) or terminal(n) for n in body))
                       for head, body in productions)
     symbols = table.values()
-    return LinearGrammar(frozenset(s for s in symbols if s.kind is SymbolKind.VARIABLE),
-                         frozenset(s for s in symbols if s.kind is SymbolKind.TERMINAL),
+    return LinearGrammar(frozenset(s for s in symbols if s.kind is _VARIABLE),
+                         frozenset(s for s in symbols if s.kind is _TERMINAL),
                          table.get(start) or variable(start), prods)
 
 
@@ -178,22 +206,13 @@ def classify_variable(g: LinearGrammar, v: Symbol | str) -> VariableClass:
         v = g.variable_named(v)
     if v not in g.variables:
         raise UnknownSymbol(f"no variable named {v.name!r}")
-    right = left = True
-    for p in g.productions_of(v):
-        idx = p.variable_index
-        if idx is None:
-            continue
-        if idx != len(p.body) - 1:
-            right = False
-        if idx != 0:
-            left = False
-    if right and left:
-        return VariableClass.BOTH
+    ends = {(p.variable_index, len(p.body) - 1) for p in g.productions_of(v)
+            if p.variable_index is not None}
+    right = all(i == last for i, last in ends)
+    left = all(i == 0 for i, _ in ends)
     if right:
-        return VariableClass.RIGHT_LINEAR
-    if left:
-        return VariableClass.LEFT_LINEAR
-    return VariableClass.NEITHER
+        return VariableClass.BOTH if left else VariableClass.RIGHT_LINEAR
+    return VariableClass.LEFT_LINEAR if left else VariableClass.NEITHER
 
 
 def is_lnf(g: LinearGrammar) -> bool:
@@ -209,40 +228,43 @@ def to_lnf(g: LinearGrammar) -> LinearGrammar:
     still-mixed variable through a fresh unit-targeted variable.  Grammars
     already in the normal form come back unchanged.
     """
-    used = g.symbol_names()
+    return g._lnf
+
+
+def _build_lnf(g: LinearGrammar) -> LinearGrammar:
+    # After the split a head is mixed when it keeps a variable-first body
+    # and has a body whose variable is not first (split ones included).
+    mixed = dict.fromkeys(v for v, ps in g._by_head.items()
+                          if any(p.variable_index == 0 and len(p.body) > 1 for p in ps)
+                          and any(p.variable_index for p in ps))
+    names = NamePool(g.symbol_names())
     variables = set(g.variables)
     prods: list[Production] = []
+    moved: list[Production] = []
     for p in g.sorted_productions():
         idx = p.variable_index
         if idx is not None and 0 < idx < len(p.body) - 1:
-            c = variable(fresh_name(p.head.name, used))
+            c = variable(names.fresh(p.head.name))
             variables.add(c)
             prods.append(Production(p.head, p.body[:idx] + (c,)))
             prods.append(Production(c, p.body[idx:]))
+        elif idx == 0 and len(p.body) > 1 and p.head in mixed:
+            moved.append(p)
         else:
             prods.append(p)
-    stage = LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
-    mixed = [v for v in sorted(stage.variables, key=lambda s: s.name)
-             if classify_variable(stage, v) is VariableClass.NEITHER]
-    if not mixed:
-        return stage
-    funnels = {v: variable(fresh_name(v.name, used)) for v in mixed}
+    if len(variables) == len(g.variables) and not mixed:
+        return g
+    # Funnels are named after every split variable, in name order.
+    funnels = {v: variable(names.fresh(v.name)) for v in mixed}
     variables.update(funnels.values())
-    prods = {Production(v, (f,)) for v, f in funnels.items()}
-    for p in stage.productions:
-        moved = p.head in funnels and p.variable_index == 0 and len(p.body) > 1
-        prods.add(Production(funnels[p.head], p.body) if moved else p)
+    prods += [Production(v, (f,)) for v, f in funnels.items()]
+    prods += [Production(funnels[p.head], p.body) for p in moved]
     return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
 
 
 def _slnf_body_ok(body: tuple[Symbol, ...]) -> bool:
-    if len(body) > 2:
-        return False
-    if len(body) == 2:
-        kinds = (body[0].kind, body[1].kind)
-        return kinds in ((SymbolKind.TERMINAL, SymbolKind.VARIABLE),
-                         (SymbolKind.VARIABLE, SymbolKind.TERMINAL))
-    return True
+    # at most two symbols, and two only when one is a terminal, one a variable
+    return len(body) < 2 or len(body) == 2 and body[0].kind is not body[1].kind
 
 
 def is_slnf(g: LinearGrammar) -> bool:
@@ -257,29 +279,28 @@ def to_slnf(g: LinearGrammar) -> LinearGrammar:
     Terminal-only bodies follow the head's own side (a left-linear head peels
     from the right), so every variable stays one-sided.
     """
-    g = to_lnf(g)
-    classes = {v: classify_variable(g, v) for v in g.variables}
-    used = g.symbol_names()
-    variables = set(g.variables)
+    return g._slnf
+
+
+def _build_slnf(lnf: LinearGrammar) -> LinearGrammar:
+    names = NamePool(lnf.symbol_names())
+    variables = set(lnf.variables)
     prods: list[Production] = []
-    for p in g.sorted_productions():
-        head, body = p.head, p.body
-        from_right = (classes[p.head] is VariableClass.LEFT_LINEAR
-                      if p.variable_index is None
-                      else p.variable_index == 0)
-        while True:
-            if len(body) <= 1 or _slnf_body_ok(body):
-                prods.append(Production(head, body))
-                break
-            nv = variable(fresh_name(p.head.name, used))
-            variables.add(nv)
-            if from_right:
-                prods.append(Production(head, (nv, body[-1])))
-                head, body = nv, body[:-1]
-            else:
-                prods.append(Production(head, (body[0], nv)))
-                head, body = nv, body[1:]
-    return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
+    for v, ps in lnf._by_head.items():
+        left_linear = classify_variable(lnf, v) is VariableClass.LEFT_LINEAR
+        for p in ps:
+            head, body = v, p.body
+            from_right = left_linear if p.variable_index is None else p.variable_index == 0
+            while len(body) > 1 and not _slnf_body_ok(body):
+                nv = variable(names.fresh(v.name))
+                variables.add(nv)
+                pair = (nv, body[-1]) if from_right else (body[0], nv)
+                prods.append(Production(head, pair))
+                head, body = nv, body[:-1] if from_right else body[1:]
+            prods.append(p if head is v else Production(head, body))
+    if len(variables) == len(lnf.variables):
+        return lnf
+    return LinearGrammar(frozenset(variables), lnf.terminals, lnf.start, frozenset(prods))
 
 
 def is_deterministic_linear(g: LinearGrammar) -> bool:
@@ -302,7 +323,7 @@ def is_deterministic_linear(g: LinearGrammar) -> bool:
         idx = p.variable_index
         if idx is None or len(body) < 2:
             return False
-        side = "first" if body[0].kind is SymbolKind.TERMINAL else "last"
+        side = "first" if body[0].kind is _TERMINAL else "last"
         if direction.setdefault(p.head.name, side) != side:
             return False
         key = (p.head.name, body[0].name if side == "first" else body[-1].name)
@@ -325,7 +346,7 @@ def eliminate_unit_productions(g: LinearGrammar) -> LinearGrammar:
     """Replace unit productions by copies of their targets' other bodies."""
     unit_targets: dict[Symbol, set[Symbol]] = {v: set() for v in g.variables}
     for p in g.productions:
-        if len(p.body) == 1 and p.body[0].kind is SymbolKind.VARIABLE:
+        if len(p.body) == 1 and p.body[0].kind is _VARIABLE:
             unit_targets[p.head].add(p.body[0])
     prods = set()
     for v in g.variables:
@@ -339,7 +360,7 @@ def eliminate_unit_productions(g: LinearGrammar) -> LinearGrammar:
                     frontier.append(w)
         for u in closure:
             for p in g.productions_of(u):
-                if len(p.body) == 1 and p.body[0].kind is SymbolKind.VARIABLE:
+                if len(p.body) == 1 and p.body[0].kind is _VARIABLE:
                     continue
                 prods.add(Production(v, p.body))
     return LinearGrammar(g.variables, g.terminals, g.start, frozenset(prods))
@@ -350,21 +371,18 @@ def to_even_normal_form(g: LinearGrammar) -> LinearGrammar:
     if not is_even_linear(g):
         raise NotEvenLinear("grammar has a body with unequal terminal flanks")
     g = eliminate_unit_productions(g)
-    used = g.symbol_names()
+    names = NamePool(g.symbol_names())
     variables = set(g.variables)
     prods: list[Production] = []
     for p in g.sorted_productions():
         head, body = p.head, p.body
-        while True:
-            idx = next((i for i, s in enumerate(body) if s.kind is SymbolKind.VARIABLE), None)
-            done = (len(body) <= 1) if idx is None else (len(body) == 3 and idx == 1)
-            if done:
-                prods.append(Production(head, body))
-                break
-            nv = variable(fresh_name(p.head.name, used))
+        # a variable sits mid-body: stop at aBb (no unit bodies remain), else at <= 1
+        while len(body) > (1 if p.variable_index is None else 3):
+            nv = variable(names.fresh(p.head.name))
             variables.add(nv)
             prods.append(Production(head, (body[0], nv, body[-1])))
             head, body = nv, body[1:-1]
+        prods.append(p if head is p.head else Production(head, body))
     return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .automaton import LinearAutomaton, _require_lambda_free, ndeg, validate_automaton
 from .errors import SymbolNotInAlphabet
-from .naming import fresh_name
+from .naming import NamePool
 
 
 def build_lk_automaton(k: int) -> LinearAutomaton:
@@ -75,8 +75,8 @@ def pad_ndeg(m: LinearAutomaton, symbol: str) -> LinearAutomaton:
     if symbol not in m.alphabet:
         raise SymbolNotInAlphabet(f"symbol {symbol!r} is not in the alphabet")
     _require_lambda_free(m, "pad_ndeg")
-    used = set(m.states)
-    x1, x2 = fresh_name("x_1", used), fresh_name("x_2", used)
+    names = NamePool(m.states)
+    x1, x2 = names.fresh("x_1"), names.fresh("x_2")
     delta = dict(m.delta)
     delta[(x1, symbol)] = frozenset({x1, x2})
     return replace(m, left_states=m.left_states | {x1, x2}, delta=delta)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from .errors import InvalidIdentifier
 
@@ -30,18 +31,21 @@ def check_name(name: str, role: str = "symbol", single: bool = False) -> str:
     return name
 
 
-def fresh_name(base: str, used: set[str]) -> str:
-    """Smallest-index name of the form ``<base>_k`` not present in ``used``.
+class NamePool:
+    """Names in use, and deterministic fresh-name allocation among them."""
 
-    Falls back to ``base`` itself when it is free, so generated names stay
-    readable.  The name is added to ``used``, so repeated calls on one set
-    never hand out the same name twice.
-    """
-    name = base
-    if base in used or not is_valid_name(base):
-        k = 1
-        while f"{base}_{k}" in used:
-            k += 1
-        name = f"{base}_{k}"
-    used.add(name)
-    return name
+    def __init__(self, used: Iterable[str] = ()):
+        self._used = set(used)
+        # per base, an index with every ``<base>_k`` below it in use
+        self._next: dict[str, int] = {}
+
+    def fresh(self, base: str) -> str:
+        """``base`` itself when it is a free valid name, else the free
+        ``<base>_k`` of smallest index; either way the name is then in use."""
+        name, k = base, self._next.get(base, 1)
+        if base in self._used or not is_valid_name(base):
+            while f"{base}_{k}" in self._used:
+                k += 1
+            self._next[base], name = k + 1, f"{base}_{k}"
+        self._used.add(name)
+        return name

@@ -8,6 +8,7 @@ reproduces the serializer's bytes exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .automaton import LAMBDA, LinearAutomaton, validate_automaton
@@ -27,94 +28,110 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-def _token_lines(text: str) -> list[list[tuple[str, SourceSpan]]]:
-    lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
-        toks = []
-        col = 0
-        for tok in body.split():
-            col = body.index(tok, col)
-            toks.append((tok, SourceSpan(lineno, col + 1)))
-            col += len(tok)
-        if toks:
-            lines.append(toks)
-    return lines
+def _lines(text: str, header: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each line with a token, after the header line."""
+    lines = [(n, toks) for n, raw in enumerate(text.split("\n"), start=1)
+             if (toks := raw.split("#", 1)[0].split())]
+    if not lines or lines[0][1] != [header]:
+        span = _span(text, lines[0][0], 0) if lines else SourceSpan(1, 1)
+        raise ParseError(f"expected a lone {header!r} header line", span=span)
+    return lines[1:]
+
+
+def _span(text: str, lineno: int, index: int) -> SourceSpan:
+    # Spans are computed only when a parse fails, so a good file costs none.
+    body = text.split("\n")[lineno - 1].split("#", 1)[0]
+    # ``\S+`` splits on the same whitespace as ``str.split``
+    return SourceSpan(lineno, [t.start() for t in re.finditer(r"\S+", body)][index] + 1)
+
+
+def _locate(text: str, lines, name, arrow: int, skip: tuple[str, ...],
+            last_declaration: bool) -> SourceSpan | None:
+    """Span of ``name``'s first (or last) declaration, else of its first use.
+
+    A rule line, with ``->`` at index ``arrow``, uses every other token but
+    those in ``skip`` after the arrow; any other line but ``start`` declares
+    the tokens after its first.
+    """
+    declared = used = None
+    for lineno, toks in lines:
+        if toks[arrow:arrow + 1] == ["->"]:
+            used = used or next(((lineno, i) for i, tok in enumerate(toks) if tok == name
+                                 and i != arrow and (i < arrow or tok not in skip)), None)
+        elif toks[0] != "start" and name in toks[1:] and (last_declaration or not declared):
+            hits = [i for i, tok in enumerate(toks) if tok == name and i]
+            declared = (lineno, hits[-1] if last_declaration else hits[0])
+    at = declared or used
+    return at and _span(text, *at)
 
 
 # --- grammar format ---
 
+def _alternatives(toks: list[str]) -> list[tuple[int, list[str]]]:
+    """(index of first token, tokens) of each alternative of a production line."""
+    cuts = [i for i, tok in enumerate(toks) if tok == "|" and i > 1]
+    return [(lo, toks[lo:hi])
+            for lo, hi in zip([2] + [i + 1 for i in cuts], cuts + [len(toks)])]
+
+
 def parse_grammar(text: str) -> LinearGrammar:
     """Parse the grammar format; diagnostics carry a source span."""
-    lines = _token_lines(text)
-    if not lines or lines[0][0][0] != "grammar" or len(lines[0]) != 1:
-        span = lines[0][0][1] if lines else SourceSpan(1, 1)
-        raise ParseError("expected a lone 'grammar' header line", span=span)
-    start: tuple[str, SourceSpan] | None = None
+    lines = _lines(text, "grammar")
+    start: tuple[str, int] | None = None
     order: dict[str, list[str]] = {"terminals": [], "variables": []}
     productions: list[tuple[str, list[str]]] = []
-    # Each name's last declaration (a repeat is where the duplicate shows),
-    # else its first use; each production's head and body token spans.
-    spans: dict = {}
-    for toks in lines[1:]:
-        word, span = toks[0]
-        if len(toks) >= 2 and toks[1][0] == "->":
+    for lineno, toks in lines:
+        word = toks[0]
+        if toks[1:2] == ["->"]:
             # production lines win over directives, so directive words stay
             # usable as symbol names
-            alts: list[list[tuple[str, SourceSpan]]] = [[]]
-            for tok, tspan in toks[2:]:
-                if tok == "|":
-                    alts.append([])
-                else:
-                    alts[-1].append((tok, tspan))
-            for alt in alts:
-                if not alt:
-                    raise ParseError("empty production alternative", span=span)
-                names = [tok for tok, _ in alt]
-                if names == [EPS]:
-                    names, alt = [], []
-                elif EPS in names:
+            for lo, names in _alternatives(toks):
+                if not names:
+                    raise ParseError("empty production alternative",
+                                     span=_span(text, lineno, 0))
+                if EPS in names and names != [EPS]:
                     raise ParseError(f"{EPS!r} cannot appear inside a body",
-                                     span=alt[names.index(EPS)][1])
-                productions.append((word, names))
-                spans.setdefault((word, tuple(names)), [span, *(s for _, s in alt)])
-                for name, nspan in [(word, span), *alt]:
-                    spans.setdefault(name, nspan)
+                                     span=_span(text, lineno, lo + names.index(EPS)))
+                productions.append((word, [] if names == [EPS] else names))
         elif word == "start":
             if len(toks) != 2:
-                raise ParseError("'start' takes exactly one variable", span=span)
+                raise ParseError("'start' takes exactly one variable",
+                                 span=_span(text, lineno, 0))
             if start is not None:
-                raise ParseError("duplicate 'start' directive", span=span)
-            start = (toks[1][0], toks[1][1])
-        elif word in ("terminals", "variables"):
-            for name, nspan in toks[1:]:
-                order[word].append(name)
-                spans[name] = nspan
+                raise ParseError("duplicate 'start' directive", span=_span(text, lineno, 0))
+            start = (toks[1], lineno)
+        elif word in order:
+            order[word] += toks[1:]
         else:
             raise ParseError(f"expected a directive or production, got {word!r}",
-                             span=span)
+                             span=_span(text, lineno, 0))
     if start is None:
         raise StartNotDeclared("no 'start' directive", span=SourceSpan(1, 1))
-    sname, sspan = start
     try:
         return validate_grammar(variables=order["variables"],
                                 terminals=order["terminals"],
-                                start=sname, productions=productions)
+                                start=start[0], productions=productions)
     except LinlangError as exc:
-        exc.span = sspan if isinstance(exc, StartNotDeclared) else _grammar_span(exc, spans)
+        exc.span = (_span(text, start[1], 1) if isinstance(exc, StartNotDeclared)
+                    else _grammar_span(text, lines, exc))
         raise
 
 
-def _grammar_span(exc: LinlangError, spans: dict) -> SourceSpan | None:
-    # A production subject points at its head, or at the second variable of
-    # a non-linear body.
+def _grammar_span(text: str, lines, exc: LinlangError) -> SourceSpan | None:
     p = exc.subject
     if not isinstance(p, Production):
-        return spans.get(p)
-    at = spans[p.sort_key()]
-    if isinstance(exc, NotLinear):
-        return at[[i for i, s in enumerate(p.body, 1) if s.kind is SymbolKind.VARIABLE][1]]
-    return at[0]
+        # a repeated declaration is where a duplicate shows
+        return _locate(text, lines, p, 1, ("|", EPS), last_declaration=True)
+    # the head, or a non-linear body's second variable, of its first spelling
+    at = ([i for i, s in enumerate(p.body) if s.kind is SymbolKind.VARIABLE][1:]
+          if isinstance(exc, NotLinear) else [])
+    head, body = p.sort_key()
+    for lineno, toks in lines:
+        if toks[0] == head and toks[1:2] == ["->"]:
+            for lo, names in _alternatives(toks):
+                if tuple(names) == body or names == [EPS] and not body:
+                    return _span(text, lineno, lo + at[0] if at else 0)
+    return None
 
 
 def serialize_grammar(g: LinearGrammar) -> str:
@@ -135,40 +152,29 @@ _AUTO_DIRECTIVES = ("alphabet", "left", "right", "initial", "final")
 
 def parse_automaton(text: str) -> LinearAutomaton:
     """Parse the automaton format; diagnostics carry a source span."""
-    lines = _token_lines(text)
-    if not lines or lines[0][0][0] != "automaton" or len(lines[0]) != 1:
-        span = lines[0][0][1] if lines else SourceSpan(1, 1)
-        raise ParseError("expected a lone 'automaton' header line", span=span)
+    lines = _lines(text, "automaton")
     pools: dict[str, list[str]] = {d: [] for d in _AUTO_DIRECTIVES}
     delta: dict[tuple[str, str], list[str]] = {}
-    # Each name's first place in the directives, else in the transitions.
-    spans: dict[str, SourceSpan] = {}
-    used: list[tuple[str, SourceSpan]] = []
-    for toks in lines[1:]:
-        word, span = toks[0]
-        if len(toks) >= 3 and toks[2][0] == "->":
+    for lineno, toks in lines:
+        word = toks[0]
+        if toks[2:3] == ["->"]:
             # transition lines win over directives (see parse_grammar)
             if len(toks) < 4:
                 raise ParseError("transition needs at least one target state",
-                                 span=span)
-            sym = LAMBDA if toks[1][0] == EPS else toks[1][0]
-            delta.setdefault((word, sym), []).extend(tgt for tgt, _ in toks[3:])
-            used += toks[:2] + toks[3:]
-        elif word in _AUTO_DIRECTIVES:
-            for name, nspan in toks[1:]:
-                pools[word].append(name)
-                spans.setdefault(name, nspan)
+                                 span=_span(text, lineno, 0))
+            sym = LAMBDA if toks[1] == EPS else toks[1]
+            delta.setdefault((word, sym), []).extend(toks[3:])
+        elif word in pools:
+            pools[word] += toks[1:]
         else:
             raise ParseError(f"expected a directive or transition, got {word!r}",
-                             span=span)
-    for name, nspan in used:
-        spans.setdefault(name, nspan)
+                             span=_span(text, lineno, 0))
     try:
         return validate_automaton(left=pools["left"], right=pools["right"],
                                   alphabet=pools["alphabet"], delta=delta,
                                   initial=pools["initial"], final=pools["final"])
     except LinlangError as exc:
-        exc.span = spans.get(exc.subject)
+        exc.span = _locate(text, lines, exc.subject, 2, (), last_declaration=False)
         raise
 
 

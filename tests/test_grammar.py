@@ -1,22 +1,30 @@
+import itertools
+import random
+import time
+
 import pytest
 
 from linlang import (
     Production,
     VariableClass,
     classify_variable,
+    det_grammar_to_dla,
     eliminate_unit_productions,
     enumerate_accepted,
     enumerate_language,
+    grammar_to_nla,
     is_deterministic_linear,
     is_even_linear,
     is_lnf,
     is_slnf,
     parse_grammar,
+    serialize_grammar,
     to_even_normal_form,
     to_lnf,
     to_slnf,
     validate_grammar,
 )
+from linlang import grammar
 from linlang.corpus import load_fixture
 from linlang.errors import (
     DuplicateSymbol,
@@ -25,6 +33,7 @@ from linlang.errors import (
     StartNotDeclared,
     UnknownSymbol,
 )
+from linlang.naming import NamePool, is_valid_name
 
 from helpers import by_length
 
@@ -170,6 +179,74 @@ class TestSlnf:
         for gr in (EX_LG, DET):
             once = to_slnf(gr)
             assert to_slnf(once) == once
+
+    def test_one_head_chain_of_4000_bodies(self):
+        # S -> x1 .. x6 S for 4000 distinct bodies mints 20 000 names from the
+        # one base S; scanning the indices from 1 for each name takes minutes.
+        bodies = list(itertools.islice(itertools.product("abcd", repeat=6), 4000))
+        gr = validate_grammar(variables=["S"], terminals="abcd", start="S",
+                              productions=[("S", [*b, "S"]) for b in bodies])
+        t0 = time.perf_counter()
+        out = to_slnf(gr)
+        assert time.perf_counter() - t0 < 10
+        # each body, in sorted order, is chopped into a chain of five fresh
+        # variables named with the smallest free indices
+        want = set()
+        for i, b in enumerate(bodies):
+            chain = ["S", *(f"S_{5 * i + k}" for k in range(1, 6)), "S"]
+            want |= {(chain[k], (b[k], chain[k + 1])) for k in range(6)}
+        assert {(p.head.name, tuple(s.name for s in p.body))
+                for p in out.productions} == want
+
+
+class TestNormalFormCache:
+    def test_each_form_is_built_once_per_grammar(self, monkeypatch):
+        builds = {"lnf": 0, "slnf": 0}
+
+        def counting(kind, build):
+            def wrapped(gr):
+                builds[kind] += 1
+                return build(gr)
+            return wrapped
+
+        monkeypatch.setattr(grammar, "_build_lnf", counting("lnf", grammar._build_lnf))
+        monkeypatch.setattr(grammar, "_build_slnf", counting("slnf", grammar._build_slnf))
+        gr = parse_grammar(serialize_grammar(DET))
+        lnf = to_lnf(gr)
+        slnf = to_slnf(gr)
+        grammar_to_nla(gr)
+        det_grammar_to_dla(gr)
+        assert builds == {"lnf": 1, "slnf": 1}
+        assert to_lnf(gr) is lnf
+        assert to_slnf(gr) is slnf
+        assert to_slnf(gr) is to_slnf(gr)
+
+    def test_cached_forms_match_fresh_builds(self):
+        for gr in (EX_LG, EX_LNF, EX_SLNF, DET):
+            twin = parse_grammar(serialize_grammar(gr))
+            assert to_slnf(gr) == to_slnf(twin)
+            assert serialize_grammar(to_slnf(gr)) == serialize_grammar(to_slnf(twin))
+
+
+def test_name_pool_takes_the_smallest_free_index():
+    def reference(base, used):
+        name, k = base, 1
+        if base in used or not is_valid_name(base):
+            while f"{base}_{k}" in used:
+                k += 1
+            name = f"{base}_{k}"
+        used.add(name)
+        return name
+
+    rng = random.Random(3)
+    bases = ["A", "A_1", "A_2", "B", "eps", "1x", "A_1_1"]
+    for _ in range(200):
+        taken = {rng.choice(bases) for _ in range(rng.randint(0, 4))}
+        taken |= {f"A_{k}" for k in rng.sample(range(1, 9), rng.randint(0, 4))}
+        pool, used = NamePool(taken), set(taken)
+        for _ in range(rng.randint(1, 30)):
+            base = rng.choice(bases)
+            assert pool.fresh(base) == reference(base, used)
 
 
 class TestDeterministicLinear:

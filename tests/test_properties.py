@@ -1,6 +1,11 @@
 """Property tests over generated grammars and automata."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +34,14 @@ from linlang import (
     trace,
     validate_grammar,
 )
-from linlang.grammar import VariableClass, classify_variable
+from linlang.grammar import (
+    LinearGrammar,
+    Production,
+    Symbol,
+    SymbolKind,
+    VariableClass,
+    classify_variable,
+)
 
 from helpers import all_words, by_length, random_automaton, random_grammar, reference_accepts
 
@@ -153,3 +165,48 @@ def test_grammar_roundtrip_conversions_over_seeded_inputs():
         assert enumerate_accepted(auto, 6) == enumerate_language(g, 6)
         back = nla_to_grammar(auto)
         assert enumerate_language(back, 6) == enumerate_language(g, 6)
+
+
+def test_equal_values_built_apart_hash_equal():
+    for seed in range(200):
+        g1, g2 = random_grammar(random.Random(seed)), random_grammar(random.Random(seed))
+        assert g1 == g2 and hash(g1) == hash(g2)
+        copy = LinearGrammar(set(g1.variables), list(g1.terminals), g1.start,
+                             [Production(p.head, list(p.body)) for p in g1.productions])
+        assert copy == g1 and hash(copy) == hash(g1)
+        for p in g1.productions:
+            twin = Production(Symbol(p.head.name, p.head.kind),
+                              [Symbol(s.name, s.kind) for s in p.body])
+            assert twin == p and hash(twin) == hash(p)
+            assert all(hash(Symbol(s.name, s.kind)) == hash(s) for s in p.body)
+            at = [i for i, s in enumerate(p.body) if s.kind is SymbolKind.VARIABLE]
+            assert p.variable_index == (at[0] if at else None)
+        for s in g1.terminals:
+            assert Symbol(s.name, SymbolKind.VARIABLE) != s
+
+
+def test_stored_sort_key_orders_as_sort_key():
+    for seed in range(200):
+        g = to_lnf(random_grammar(random.Random(seed)))
+        assert g.sorted_productions() == tuple(sorted(g.productions,
+                                                      key=Production.sort_key))
+
+
+def test_pickled_values_rehash_in_a_process_with_another_hash_seed(tmp_path):
+    # hashes are stored at construction, and str hashes differ between
+    # processes, so an unpickled value must hash afresh
+    g = random_grammar(random.Random(5))
+    to_slnf(g)
+    path = tmp_path / "grammar.pickle"
+    path.write_bytes(pickle.dumps(g))
+    check = ("import pickle, sys\n"
+             "from linlang import parse_grammar, serialize_grammar, to_slnf\n"
+             "g = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+             "f = parse_grammar(serialize_grammar(g))\n"
+             "assert g == f and hash(g) == hash(f) and g.start in f.variables\n"
+             "assert all(p in f.productions for p in g.productions)\n"
+             "assert to_slnf(g) == to_slnf(f)\n")
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    src = str(Path(to_slnf.__code__.co_filename).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", check, str(path)], env=env, check=True)

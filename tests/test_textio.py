@@ -206,11 +206,21 @@ GRAMMAR_FAULTS = {
     "terminal-start": ("start S", "start a", StartNotDeclared, (2, 7)),
     "undeclared-head": ("A -> a", "A -> a\nZ -> a", UnknownSymbol, (7, 1)),
     "terminal-head": ("A -> a", "A -> a\nb -> a", UnknownSymbol, (7, 1)),
+    "terminal-head-non-linear": ("A -> a", "A -> a\nb -> S a A", UnknownSymbol, (7, 1)),
     "undeclared-body-symbol": ("A -> a", "A -> a Z", UnknownSymbol, (6, 8)),
     "undeclared-in-alternative": ("A -> a", "A -> a | c", UnknownSymbol, (6, 10)),
     "undeclared-used-before-head": ("variables S A", "variables S", UnknownSymbol, (5, 14)),
     "non-linear": ("A -> a", "A -> A a S", NotLinear, (6, 10)),
     "non-linear-adjacent": ("A -> a", "A -> S A b", NotLinear, (6, 8)),
+    # structural faults, found by the parser before any check
+    "missing-header": ("grammar\n", "", ParseError, (1, 1)),
+    "extra-header-token": ("grammar\n", "# note\n  grammar S\n", ParseError, (2, 3)),
+    "empty-alternative": ("| A", "| | A", ParseError, (5, 1)),
+    "empty-body": ("A -> a", "A ->", ParseError, (6, 1)),
+    "eps-inside-body": ("| A", "| A  eps", ParseError, (5, 17)),
+    "duplicate-start": ("start S\n", "start S\n start S\n", ParseError, (3, 2)),
+    "start-two-names": ("start S", "start S A", ParseError, (2, 1)),
+    "unknown-directive": ("A -> a", "A -> a\n\talphabet a", ParseError, (7, 2)),
 }
 
 AUTOMATON_FAULTS = {
@@ -228,6 +238,11 @@ AUTOMATON_FAULTS = {
     "undeclared-target": ("q0 a -> p1", "q0 a -> p1 q9", UnknownState, (7, 12)),
     "undeclared-lambda-target": ("q0 a -> p1", "q0 a -> p1\nq0 eps -> q9", UnknownState,
                                  (8, 11)),
+    # structural faults, found by the parser before any check
+    "missing-header": ("automaton\n", "", ParseError, (1, 1)),
+    "extra-header-token": ("automaton\n", "automaton  x\n", ParseError, (1, 1)),
+    "transition-without-target": ("q0 a -> p1", "q0 a ->", ParseError, (7, 1)),
+    "unknown-directive": ("final p1", "final p1\n  variables p1  # comment", ParseError, (7, 3)),
 }
 
 
