@@ -13,6 +13,7 @@ structures are operation-local, so concurrent use is safe.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .grammar import _enumerate_words
+from .grammar import _closure, _enumerate_words
 from .naming import NamePool, check_name
 
 #: Internal marker for the empty-string move; rendered as ``eps`` in all I/O.
@@ -100,6 +101,15 @@ class LinearAutomaton:
             return StateClass.RIGHT
         raise UnknownState(f"no state named {q!r}")
 
+    @cached_property
+    def _reads(self) -> dict[str, tuple[bool, tuple[tuple[str, tuple[str, ...]], ...]]]:
+        # each state's reading moves, so a sweep visits only the moves it has
+        reads: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for (q, a), targets in self._cells.items():
+            if a != LAMBDA:
+                reads.setdefault(q, []).append((a, tuple(sorted(targets))))
+        return {q: (q in self.left_states, tuple(moves)) for q, moves in reads.items()}
+
     def targets(self, q: str, a: str) -> frozenset[str]:
         # the plain dict: a lookup through the read-only view costs more
         return self._cells.get((q, a), frozenset())
@@ -134,10 +144,18 @@ class InstantaneousDescription(NamedTuple):
         return word[self.lo:self.hi]
 
 
-def _check_word(m: LinearAutomaton, word: str) -> None:
-    for ch in word:
-        if ch not in m.alphabet:
-            raise SymbolNotInAlphabet(f"symbol {ch!r} is not in the alphabet")
+def _symbol_masks(m: LinearAutomaton, word: str) -> dict[str, int]:
+    """Bit i of ``masks[a]`` is set when ``word[i] == a``, for each symbol of m."""
+    if not m.alphabet.issuperset(word):
+        bad = next(ch for ch in word if ch not in m.alphabet)
+        raise SymbolNotInAlphabet(f"symbol {bad!r} is not in the alphabet")
+    masks = dict.fromkeys(m.alphabet, 0)
+    rev, present = word[::-1], set(word)
+    zeros = dict.fromkeys(map(ord, present), "0")
+    for a in present:
+        # base 2 is exempt from the int/str digit limit, so any length works
+        masks[a] = int(rev.translate({**zeros, ord(a): "1"}), 2)
+    return masks
 
 
 def step(m: LinearAutomaton, ident: InstantaneousDescription, word: str,
@@ -165,12 +183,10 @@ def accepts(m: LinearAutomaton, word: str) -> bool:
     set when ``word[i] == a``, a left read is ``(S & masks[a]) << 1`` and a
     right read is ``S & (masks[a] >> (n - 1 - k))``.
     """
-    _check_word(m, word)
+    masks = _symbol_masks(m, word)
     m = m._lambda_free
+    reads = m._reads
     n = len(word)
-    masks = dict.fromkeys(word, 0)
-    for i, ch in enumerate(word):
-        masks[ch] |= 1 << i
     level = dict.fromkeys(m.initial, 1)
     for k in range(n):
         if not level:
@@ -178,14 +194,88 @@ def accepts(m: LinearAutomaton, word: str) -> bool:
         shift = n - 1 - k
         nxt: dict[str, int] = {}
         for q, s in level.items():
-            left = q in m.left_states
-            for a, mask in masks.items():
-                moved = (s & mask) << 1 if left else s & (mask >> shift)
+            if q not in reads:
+                continue
+            left, moves = reads[q]
+            for a, targets in moves:
+                moved = (s & masks[a]) << 1 if left else s & (masks[a] >> shift)
                 if moved:
-                    for t in m.targets(q, a):
+                    for t in targets:
                         nxt[t] = nxt.get(t, 0) | moved
         level = nxt
     return not m.final.isdisjoint(level)
+
+
+class _Liveness:
+    """Backward sweep: bit lo of ``level(k)[q]`` is set when (q, lo, n - k + lo)
+    still has an accepting run.
+
+    Level n holds the final states with every bit set; level k comes from
+    level k + 1 by the reverse reads, a left read giving ``(L >> 1) & mask``
+    and a right read ``L & (mask >> (n - 1 - k))``; each level is closed under
+    reverse lambda moves.  Only every ceil(sqrt(n))-th level is kept; a level
+    in between is rebuilt with the rest of its block from the checkpoint
+    above it, and the last block built is kept (Hirschberg's linear-space
+    idea).  A search that visits levels in increasing order rebuilds each
+    block once.
+    """
+
+    def __init__(self, m: LinearAutomaton, word: str, masks: dict[str, int]):
+        n = self.n = len(word)
+        # the move table inverted: target -> (source, reads left?, mask)
+        self.into: dict[str, list[tuple[str, bool, int]]] = {}
+        for q, (left, moves) in m._reads.items():
+            for a, targets in moves:
+                if masks[a]:
+                    for t in targets:
+                        self.into.setdefault(t, []).append((q, left, masks[a]))
+        # t -> the other states whose lambda closure holds t
+        self.back: dict[str, list[str]] = {}
+        for q in {q for (q, a) in m.delta if a == LAMBDA}:
+            for t in lambda_closure(m, q) - {q}:
+                self.back.setdefault(t, []).append(q)
+        self.gap = math.isqrt(n - 1) + 1 if n else 1
+        live = self._closed(dict.fromkeys(m.final, (2 << n) - 1))
+        self.checkpoints = {n: live}
+        for k in reversed(range(n)):
+            live = self._below(live, k)
+            if k % self.gap == 0:
+                self.checkpoints[k] = live
+        self.block: dict[int, dict[str, int]] = {}
+
+    def _closed(self, pre: dict[str, int]) -> dict[str, int]:
+        if not self.back:
+            return pre
+        live = dict(pre)
+        for t, s in pre.items():
+            for q in self.back.get(t, ()):
+                live[q] = live.get(q, 0) | s
+        return live
+
+    def _below(self, live: dict[str, int], k: int) -> dict[str, int]:
+        shift = self.n - 1 - k
+        pre: dict[str, int] = {}
+        for t, s in live.items():
+            for q, left, mask in self.into.get(t, ()):
+                bits = (s >> 1) & mask if left else s & (mask >> shift)
+                if bits:
+                    pre[q] = pre.get(q, 0) | bits
+        return self._closed(pre)
+
+    def level(self, k: int) -> dict[str, int]:
+        if k in self.checkpoints:
+            return self.checkpoints[k]
+        if k not in self.block:
+            base = k - k % self.gap
+            self.block.clear()
+            live = self.checkpoints[min(self.n, base + self.gap)]
+            for j in reversed(range(base + 1, min(self.n, base + self.gap))):
+                live = self.block[j] = self._below(live, j)
+        return self.block[k]
+
+    def __contains__(self, ident: InstantaneousDescription) -> bool:
+        q, lo, hi = ident
+        return self.level(lo + self.n - hi).get(q, 0) >> lo & 1 == 1
 
 
 def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
@@ -193,14 +283,17 @@ def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
 
     Depth-first with a fixed tie-break (reading moves before lambda moves,
     target states in name order), so the returned run is reproducible.  A
-    rejected word is decided by ``accepts`` first, since the search would
-    visit every reachable description before giving up.
+    backward liveness sweep comes first and the search pushes only
+    descriptions that can still accept: a rejected word has no live start,
+    and an accepted one is found without entering a dead branch, in steps
+    linear in the number of levels.  Dropping dead descriptions changes
+    neither the order nor the parent of the first visit to a live one, so
+    the run is the one the plain search would return.
     """
-    if not accepts(m, word):
-        return None
+    live = _Liveness(m, word, _symbol_masks(m, word))
     starts = [InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial)]
     stack: list[tuple[InstantaneousDescription, InstantaneousDescription | None]]
-    stack = [(ident, None) for ident in reversed(starts)]
+    stack = [(ident, None) for ident in reversed(starts) if ident in live]
     parent: dict[InstantaneousDescription, InstantaneousDescription | None] = {}
     while stack:
         ident, via = stack.pop()
@@ -217,7 +310,7 @@ def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
         # a read leaves less input than a lambda move, so it sorts first
         for nxt in sorted(step(m, ident, word), key=lambda i: (i.hi - i.lo, i.state),
                           reverse=True):
-            if nxt not in parent:
+            if nxt not in parent and nxt in live:
                 stack.append((nxt, ident))
     return None
 
@@ -226,15 +319,7 @@ def lambda_closure(m: LinearAutomaton, q: str) -> frozenset[str]:
     """States reachable from ``q`` by lambda moves alone (including ``q``)."""
     if q not in m.states:
         raise UnknownState(f"no state named {q!r}")
-    closure = {q}
-    frontier = deque([q])
-    while frontier:
-        cur = frontier.popleft()
-        for t in m.targets(cur, LAMBDA):
-            if t not in closure:
-                closure.add(t)
-                frontier.append(t)
-    return frozenset(closure)
+    return frozenset(_closure(q, lambda u: m.targets(u, LAMBDA)))
 
 
 def eliminate_lambda(m: LinearAutomaton) -> LinearAutomaton:

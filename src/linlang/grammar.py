@@ -342,6 +342,18 @@ def is_even_linear(g: LinearGrammar) -> bool:
     return True
 
 
+def _closure(start, successors) -> set:
+    """``start`` and everything reachable from it by ``successors``, breadth-first."""
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        for t in successors(frontier.popleft()):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
 def eliminate_unit_productions(g: LinearGrammar) -> LinearGrammar:
     """Replace unit productions by copies of their targets' other bodies."""
     unit_targets: dict[Symbol, set[Symbol]] = {v: set() for v in g.variables}
@@ -350,15 +362,7 @@ def eliminate_unit_productions(g: LinearGrammar) -> LinearGrammar:
             unit_targets[p.head].add(p.body[0])
     prods = set()
     for v in g.variables:
-        closure = {v}
-        frontier = deque([v])
-        while frontier:
-            u = frontier.popleft()
-            for w in unit_targets[u]:
-                if w not in closure:
-                    closure.add(w)
-                    frontier.append(w)
-        for u in closure:
+        for u in _closure(v, unit_targets.__getitem__):
             for p in g.productions_of(u):
                 if len(p.body) == 1 and p.body[0].kind is _VARIABLE:
                     continue

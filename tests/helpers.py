@@ -120,3 +120,31 @@ def random_automaton(rng: random.Random, allow_lambda: bool = True) -> LinearAut
     final = {q for q in states if rng.random() < 0.4}
     return validate_automaton(left=left, right=right, alphabet=alphabet,
                               delta=delta, initial=initial, final=final)
+
+
+def reference_trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
+    """Depth-first search over every reachable description by ``step``.
+
+    The slow reference for ``trace``: the same tie-break (reads before
+    lambda moves, targets in name order) with no liveness pruning, so it
+    walks dead branches and keeps every visited description.
+    """
+    starts = [InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial)]
+    stack = [(ident, None) for ident in reversed(starts)]
+    parent: dict = {}
+    while stack:
+        ident, via = stack.pop()
+        if ident in parent:
+            continue
+        parent[ident] = via
+        if ident.lo >= ident.hi and ident.state in m.final:
+            path = []
+            while ident is not None:
+                path.append((ident.state, ident.remaining(word)))
+                ident = parent[ident]
+            return path[::-1]
+        for nxt in sorted(step(m, ident, word), key=lambda i: (i.hi - i.lo, i.state),
+                          reverse=True):
+            if nxt not in parent:
+                stack.append((nxt, ident))
+    return None

@@ -13,6 +13,7 @@ from linlang import (
     is_deterministic,
     is_even,
     lambda_closure,
+    lk_predicate,
     ndeg,
     parse_automaton,
     serialize_automaton,
@@ -33,7 +34,7 @@ from linlang.errors import (
     UnknownState,
 )
 
-from helpers import all_words, by_length
+from helpers import all_words, by_length, reference_trace
 
 EX_NLA = load_fixture("ex_nla").payload
 DLA = load_fixture("dla_anbn_ancn").payload
@@ -45,6 +46,18 @@ HOMOG = load_fixture("nla_homogeneous").payload
 def single_state(final=True):
     return validate_automaton(left=["q0"], right=[], alphabet=["a"], delta={},
                               initial=["q0"], final=["q0"] if final else [])
+
+
+def assert_replays(m, word, run):
+    """``run`` is an accepting run of ``m`` on ``word``, move by move through ``step``."""
+    assert run[0][1] == word and run[0][0] in m.initial
+    cur = InstantaneousDescription(run[0][0], 0, len(word))
+    for state, rest in run[1:]:
+        matching = [i for i in step(m, cur, word)
+                    if i.state == state and word[i.lo:i.hi] == rest]
+        assert matching, (cur, state, rest)
+        cur = matching[0]
+    assert cur.lo >= cur.hi and cur.state in m.final
 
 
 class TestValidate:
@@ -123,6 +136,12 @@ class TestAccepts:
         with pytest.raises(SymbolNotInAlphabet):
             accepts(EX_NLA, "abc")
 
+    def test_first_foreign_symbol_is_named(self):
+        word = "ab" * 3000 + "d" + "ab" + "c"
+        for decide in (accepts, trace):
+            with pytest.raises(SymbolNotInAlphabet, match="symbol 'd' "):
+                decide(EX_NLA, word)
+
     def test_lambda_moves_are_folded_once_per_automaton(self, monkeypatch):
         calls = []
 
@@ -164,17 +183,23 @@ class TestTrace:
             sigma = "".join(sorted(m.alphabet))
             for word in all_words(sigma, 7):
                 run = trace(m, word)
+                assert run == reference_trace(m, word), (m, word)
                 assert (run is not None) == accepts(m, word)
-                if run is None:
-                    continue
-                assert run[0][1] == word and run[0][0] in m.initial
-                cur = InstantaneousDescription(run[0][0], 0, len(word))
-                for state, rest in run[1:]:
-                    matching = [i for i in step(m, cur, word)
-                                if i.state == state and word[i.lo:i.hi] == rest]
-                    assert matching, (cur, state, rest)
-                    cur = matching[0]
-                assert cur.lo >= cur.hi and cur.state in m.final
+                if run is not None:
+                    assert_replays(m, word, run)
+
+    def test_word_longer_than_the_int_digit_limit(self):
+        # 7200 symbols: the masks are read in base 2, exempt from the limit
+        m = build_lk_automaton(3)
+        member = "a" * 2400 + "b" * 4800
+        flipped = member[:1000] + "b" + member[1001:]
+        for word, want in ((member, True), (flipped, False)):
+            assert lk_predicate(3, word) == want
+            assert accepts(m, word) == want
+            run = trace(m, word)
+            assert (run is not None) == want
+            if want:
+                assert_replays(m, word, run)
 
 
 class TestLambdaClosure:

@@ -43,7 +43,8 @@ from linlang.grammar import (
     classify_variable,
 )
 
-from helpers import all_words, by_length, random_automaton, random_grammar, reference_accepts
+from helpers import (all_words, by_length, random_automaton, random_grammar,
+                     reference_accepts, reference_trace)
 
 VARS = ["S", "A", "B"]
 TERMS = ["a", "b"]
@@ -151,7 +152,9 @@ def test_simulation_agrees_with_reference_search():
         for word in all_words("".join(m.alphabet), 6):
             want = reference_accepts(m, word)
             assert accepts(m, word) == want, (m, word)
-            assert (trace(m, word) is not None) == want, (m, word)
+            run = trace(m, word)
+            assert run == reference_trace(m, word), (m, word)
+            assert (run is not None) == want, (m, word)
             if want:
                 accepted.append(word)
         assert enumerate_accepted(m, 6) == by_length(accepted), m
