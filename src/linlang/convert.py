@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .automaton import LAMBDA, LinearAutomaton, _move_rules, is_even, validate_automaton
-from .errors import NotDeterministicLinear, NotEven, NotEvenLinear
+from .errors import NotDeterministicLinear, NotEven
 from .grammar import (
     LinearGrammar,
     Production,
@@ -11,7 +11,6 @@ from .grammar import (
     VariableClass,
     _slnf_body_ok,
     is_deterministic_linear,
-    is_even_linear,
     to_even_normal_form,
     terminal,
     to_slnf,
@@ -103,22 +102,7 @@ def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
 
 def even_grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
     """Even automaton for an even linear grammar (strict class alternation)."""
-    if not is_even_linear(g):
-        raise NotEvenLinear("grammar has a body with unequal terminal flanks")
-    nf = to_even_normal_form(g)
-    names = NamePool(nf.symbol_names())
-    variables = set(nf.variables)
-    prods: list[Production] = []
-    for p in nf.sorted_productions():
-        if len(p.body) == 3:
-            c = variable(names.fresh(p.head.name))
-            variables.add(c)
-            prods.append(Production(p.head, (p.body[0], c)))
-            prods.append(Production(c, (p.body[1], p.body[2])))
-        else:
-            prods.append(p)
-    split = LinearGrammar(frozenset(variables), nf.terminals, nf.start, frozenset(prods))
-    return _slnf_to_nla(split, "right")
+    return _slnf_to_nla(to_slnf(to_even_normal_form(g)), "right")
 
 
 def even_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:

@@ -50,11 +50,7 @@ def lk_predicate(k: int, word: str) -> bool:
 
 def lk_predicate_strict(k: int, word: str) -> bool:
     """The m >= 1 variant, which excludes the empty word."""
-    counts = _ab_counts(word)
-    if counts is None:
-        return False
-    m, n = counts
-    return 1 <= m <= n <= (k + 1) * m
+    return word != "" and lk_predicate(k, word)
 
 
 def lin_k_upper_bound(m: LinearAutomaton) -> int:

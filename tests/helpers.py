@@ -11,11 +11,18 @@ from linlang import (
     InstantaneousDescription,
     LinearAutomaton,
     LinearGrammar,
+    Production,
+    is_even_linear,
     step,
+    to_even_normal_form,
     validate_automaton,
     validate_grammar,
+    variable,
 )
 from linlang.automaton import LAMBDA
+from linlang.convert import _slnf_to_nla
+from linlang.errors import NotEvenLinear
+from linlang.naming import NamePool
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "linlang" / "corpus" / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -97,6 +104,48 @@ def random_grammar(rng: random.Random) -> LinearGrammar:
         productions.append((head, body))
     return validate_grammar(variables=variables, terminals=terminals,
                             start="S", productions=productions)
+
+
+def random_even_grammar(rng: random.Random) -> LinearGrammar:
+    """An even linear grammar: every variable has equal-length terminal flanks."""
+    variables = ["S", "A", "B", "C"][: rng.randint(1, 4)]
+    terminals = ["a", "b", "c"][: rng.randint(1, 3)]
+    productions = []
+    for _ in range(rng.randint(1, 6)):
+        head = rng.choice(variables)
+        if rng.random() < 0.7:
+            flank = rng.randint(0, 3)
+            body = ([rng.choice(terminals) for _ in range(flank)] + [rng.choice(variables)]
+                    + [rng.choice(terminals) for _ in range(flank)])
+        else:
+            body = [rng.choice(terminals) for _ in range(rng.randint(0, 5))]
+        productions.append((head, body))
+    return validate_grammar(variables=variables, terminals=terminals,
+                            start="S", productions=productions)
+
+
+def reference_even_grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
+    """Even normal form, then each ``aBb`` body split by hand into ``a C`` and ``C -> B b``.
+
+    The slow reference for ``even_grammar_to_nla``: its own name pool,
+    split loop and even check, read by the same strong-form reader.
+    """
+    if not is_even_linear(g):
+        raise NotEvenLinear("grammar has a body with unequal terminal flanks")
+    nf = to_even_normal_form(g)
+    names = NamePool(nf.symbol_names())
+    variables = set(nf.variables)
+    prods: list[Production] = []
+    for p in nf.sorted_productions():
+        if len(p.body) == 3:
+            c = variable(names.fresh(p.head.name))
+            variables.add(c)
+            prods.append(Production(p.head, (p.body[0], c)))
+            prods.append(Production(c, (p.body[1], p.body[2])))
+        else:
+            prods.append(p)
+    split = LinearGrammar(frozenset(variables), nf.terminals, nf.start, frozenset(prods))
+    return _slnf_to_nla(split, "right")
 
 
 def random_automaton(rng: random.Random, allow_lambda: bool = True) -> LinearAutomaton:

@@ -171,6 +171,17 @@ class TestTrace:
                                initial=["q"], final=["f", "g"])
         assert trace(m, "a") == [("q", "a"), ("f", "")]
 
+    def test_backs_out_of_a_live_lambda_cycle(self):
+        # y1 is live (y1 -> x -> y2 -> f), but its only move returns to the
+        # visited x, so the search must back out and take y2
+        m = validate_automaton(left=["x", "y1", "y2", "f"], right=[], alphabet=["a"],
+                               delta={("x", LAMBDA): {"y1", "y2"}, ("y1", LAMBDA): {"x"},
+                                      ("y2", "a"): {"f"}},
+                               initial=["x"], final=["f"])
+        run = trace(m, "a")
+        assert run == [("x", "a"), ("y2", "a"), ("f", "")]
+        assert run == reference_trace(m, "a")
+
     def test_rejected_word_has_no_trace(self):
         assert trace(EX_NLA, "ba") is None
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from linlang import (
@@ -15,12 +17,15 @@ from linlang import (
     is_even_linear,
     nla_to_grammar,
     parse_grammar,
+    serialize_automaton,
+    to_even_normal_form,
     validate_automaton,
 )
 from linlang.corpus import load_fixture
 from linlang.errors import NotDeterministicLinear, NotEven, NotEvenLinear
 
-from helpers import all_words, by_length
+from helpers import (all_words, by_length, random_even_grammar,
+                     reference_even_grammar_to_nla)
 
 EX_NLA = load_fixture("ex_nla").payload
 EX_SLNF = load_fixture("ex_slnf_grammar").payload
@@ -137,6 +142,17 @@ class TestEvenGrammarToNla:
     def test_rejects_uneven_grammar(self):
         with pytest.raises(NotEvenLinear):
             even_grammar_to_nla(g("start S\nterminals a b\nvariables S\nS -> a S b b\n"))
+
+    def test_agrees_with_reference_split(self):
+        # fresh names come from sets of symbols, so CI runs this under two hash seeds
+        grammars = [load_fixture("even_palindrome_grammar").payload]
+        grammars += [random_even_grammar(random.Random(seed)) for seed in range(400)]
+        split = 0
+        for gr in grammars:
+            assert serialize_automaton(even_grammar_to_nla(gr)) == \
+                serialize_automaton(reference_even_grammar_to_nla(gr)), gr
+            split += any(len(p.body) == 3 for p in to_even_normal_form(gr).productions)
+        assert split >= 300
 
 
 class TestEvenNlaToGrammar:
