@@ -452,8 +452,10 @@ def _move_rules(m: LinearAutomaton) -> dict[str, list[tuple[str, str | None, str
 def enumerate_accepted(m: LinearAutomaton, max_len: int) -> list[str]:
     """All accepted words of at most ``max_len`` symbols, shortest first.
 
-    The moves are derived as productions instead of every word being
-    filtered, so sparse languages come out fast.
+    Each move is read as its linear production, and the words each state
+    derives are built one length at a time, as for a grammar; no word is
+    tested, and only lengths at which a state derives something cost work,
+    so sparse languages come out fast.
     """
     return _enumerate_words(_move_rules(m), m.initial, max_len)
 

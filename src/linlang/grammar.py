@@ -13,6 +13,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -395,39 +396,90 @@ def _enumerate_words(rules: Mapping[str, Sequence[tuple[str, str | None, str]]],
     """All terminal strings of at most ``max_len`` symbols derivable from ``starts``.
 
     ``rules`` maps a variable name to its productions, each read as (left
-    flank, variable name or None, right flank).  Sentential forms are
-    (prefix, variable, suffix) triples; flanks never shrink, so pruning at
-    ``max_len`` total flank symbols plus a visited set over triples
-    guarantees termination even through unit-production cycles.  Terminals
-    are single characters, so a flank's length is its symbol count.  Words
-    come sorted by length, then lexicographically.
+    flank, variable name or None, right flank).  Terminals are single
+    characters, so a flank's length is its symbol count.  The walk builds
+    slices ``L[v][n]``, the words of length ``n`` that ``v`` derives, for
+    ``n = 0..max_len`` in turn (the length-indexed recursion of Hickey and
+    Cohen, SIAM J. Comput. 1983, with one variable per body):
+
+    - ``room[v]`` is ``max_len`` minus the fewest flank symbols on any
+      derivation from a start to ``v`` (one Dijkstra pass); longer words of
+      ``v`` cannot be used, and variables out of reach take no part.
+    - A slice starts from the erasing rules of its length and the words
+      pushed into it earlier, and is closed under unit rules (``d = 0``,
+      which include an automaton's lambda moves) by passing new words back
+      along unit edges until none is new, so unit cycles terminate.
+    - Each non-empty slice of ``u`` is pushed through every rule
+      ``v -> x u y`` with ``d = |x| + |y| > 0`` into slice ``n + d`` of ``v``.
+
+    Only non-empty slices are touched, so sparse languages come out fast.
+    Words come sorted by length, then lexicographically.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    words: set[str] = set()
-    start = [("", v, "") for v in starts]
-    seen = set(start)
-    frontier = deque(start)
-    while frontier:
-        prefix, v, suffix = frontier.popleft()
-        for left, var, right in rules.get(v, ()):
-            np, ns = prefix + left, right + suffix
-            if len(np) + len(ns) > max_len:
+    starts = tuple(starts)
+    erasing: list[list[tuple[str, str]]] = [[] for _ in range(max_len + 1)]
+    unit_heads: dict[str, list[str]] = {}  # u -> every v with a rule v -> u
+    # u -> (last, d, v, x, y) for each rule v -> x u y with d > 0, where
+    # last = room[v] - d is the longest slice of u that still fits
+    pushes: dict[str, list[tuple[int, int, str, str, str]]] = {}
+    # Dijkstra over flank lengths: room[v] is final when v is popped, so
+    # v's rules are sorted into the tables then; rules that cannot fit drop
+    room: dict[str, int] = {}
+    heap = [(0, v) for v in starts]
+    heapify(heap)
+    while heap:
+        dist, v = heappop(heap)
+        if v in room:
+            continue
+        r = room[v] = max_len - dist
+        for left, u, right in rules.get(v, ()):
+            d = len(left) + len(right)
+            if d > r:
                 continue
-            if var is None:
-                words.add(np + ns)
+            if u is None:
+                erasing[d].append((v, left + right))
+                continue
+            if u not in room:
+                heappush(heap, (dist + d, u))
+            if d:
+                pushes.setdefault(u, []).append((r - d, d, v, left, right))
             else:
-                node = (np, var, ns)
-                if node not in seen:
-                    seen.add(node)
-                    frontier.append(node)
-    return sorted(words, key=lambda w: (len(w), w))
+                unit_heads.setdefault(u, []).append(v)
+    pending: list[dict[str, set[str]]] = [{} for _ in range(max_len + 1)]
+    out: list[str] = []
+    for n in range(max_len + 1):
+        level, pending[n] = pending[n], {}
+        for v, w in erasing[n]:
+            level.setdefault(v, set()).add(w)
+        todo = [(u, set(ws)) for u, ws in level.items() if u in unit_heads]
+        while todo:
+            u, new = todo.pop()
+            for v in unit_heads[u]:
+                if room[v] >= n:
+                    have = level.setdefault(v, set())
+                    if added := new - have:
+                        have |= added
+                        if v in unit_heads:
+                            todo.append((v, added))
+        for u, ws in level.items():
+            for last, d, v, left, right in pushes.get(u, ()):
+                if n <= last:
+                    slot = pending[n + d]
+                    grown = {left + w + right for w in ws}
+                    if v in slot:
+                        slot[v] |= grown
+                    else:
+                        slot[v] = grown
+        out += sorted(set().union(*(level.get(s, ()) for s in starts)))
+    return out
 
 
-def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
-    """All derivable terminal strings of at most ``max_len`` symbols, shortest first."""
-    # Each production as (left flank, variable name or None, right flank),
-    # split once; nodes hold names, which hash faster than symbols.
+def _production_rules(g: LinearGrammar) -> dict[str, list[tuple[str, str | None, str]]]:
+    """Each production as (left flank, variable name or None, right flank), by head name.
+
+    Slices are keyed by names, which hash faster than symbols.
+    """
     rules: dict[str, list[tuple[str, str | None, str]]] = {}
     for p in g.sorted_productions():
         idx = p.variable_index
@@ -435,4 +487,9 @@ def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
         rules.setdefault(p.head.name, []).append(
             ("".join(names), None, "") if idx is None else
             ("".join(names[:idx]), names[idx], "".join(names[idx + 1:])))
-    return _enumerate_words(rules, [g.start.name], max_len)
+    return rules
+
+
+def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
+    """All derivable terminal strings of at most ``max_len`` symbols, shortest first."""
+    return _enumerate_words(_production_rules(g), [g.start.name], max_len)

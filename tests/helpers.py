@@ -91,6 +91,56 @@ def reference_accepts(m: LinearAutomaton, word: str) -> bool:
     return False
 
 
+def reference_enumerate_words(rules, starts, max_len: int) -> list[str]:
+    """Breadth-first search over (prefix, variable, suffix) sentential forms.
+
+    The slow reference for ``grammar._enumerate_words``, over the same
+    (left flank, variable name or None, right flank) rules: it keeps one
+    node per distinct form whose flanks fit in ``max_len``, so unit cycles
+    terminate through the visited set.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    words: set[str] = set()
+    start = [("", v, "") for v in starts]
+    seen = set(start)
+    frontier = deque(start)
+    while frontier:
+        prefix, v, suffix = frontier.popleft()
+        for left, var, right in rules.get(v, ()):
+            np, ns = prefix + left, right + suffix
+            if len(np) + len(ns) > max_len:
+                continue
+            if var is None:
+                words.add(np + ns)
+            else:
+                node = (np, var, ns)
+                if node not in seen:
+                    seen.add(node)
+                    frontier.append(node)
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def g_prime() -> LinearGrammar:
+    """G′, the seeded 300-variable grammar the enumeration timings are quoted on.
+
+    Each of 3000 draws is a body of ``randint(0, 6)`` terminals; if it is
+    non-empty, with probability 0.8 one position becomes a variable; then
+    the head is drawn.
+    """
+    rng = random.Random(7)
+    variables = ["S"] + [f"V{i}" for i in range(299)]
+    terminals = ["a", "b", "c", "d"]
+    productions = []
+    for _ in range(3000):
+        body = [rng.choice(terminals) for _ in range(rng.randint(0, 6))]
+        if body and rng.random() < 0.8:
+            body[rng.randrange(len(body))] = rng.choice(variables)
+        productions.append((rng.choice(variables), body))
+    return validate_grammar(variables=variables, terminals=terminals,
+                            start="S", productions=productions)
+
+
 def random_grammar(rng: random.Random) -> LinearGrammar:
     variables = ["S", "A", "B", "C"][: rng.randint(1, 4)]
     terminals = ["a", "b"][: rng.randint(1, 2)]
