@@ -15,9 +15,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -31,7 +31,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .grammar import _closure, _enumerate_words
-from .naming import NamePool, check_name
+from .naming import NamePool, check_name, names_ok
 
 #: Internal marker for the empty-string move; rendered as ``eps`` in all I/O.
 LAMBDA = ""
@@ -58,13 +58,15 @@ class LinearAutomaton:
         cells = {k: frozenset(v) for k, v in self.delta.items() if v}
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "delta", MappingProxyType(cells))
-        # Names are visited in sorted order, so of several faults the same
-        # one is always reported.
         states = self.states
-        for q in sorted(states | self.initial | self.final):
-            check_name(q, "state")
-        for a in sorted(self.alphabet):
-            check_name(a, "alphabet symbol", single=True)
+        named = states | self.initial | self.final
+        if not (names_ok(named) and names_ok(self.alphabet, single=True)):
+            # Names are visited in sorted order, so of several faults the
+            # same one is always reported.
+            for q in sorted(named):
+                check_name(q, "state")
+            for a in sorted(self.alphabet):
+                check_name(a, "alphabet symbol", single=True)
         if overlap := self.left_states & self.right_states:
             q = min(overlap)
             raise ClassOverlap(f"state {q!r} declared in both classes", subject=q)
@@ -375,62 +377,113 @@ class SubsetState:
     homogeneity: Homogeneity
 
 
-def _homogeneity(m: LinearAutomaton, members: frozenset[str]) -> Homogeneity:
-    if members <= m.left_states:
-        return Homogeneity.ALL_LEFT
-    if members <= m.right_states:
-        return Homogeneity.ALL_RIGHT
-    return Homogeneity.MIXED
+class _Subsets(NamedTuple):
+    """The reachable subsets, numbered breadth-first; each list is indexed by number."""
+
+    members: list[tuple[str, ...]]  # the subset's states in name order
+    homogeneity: list[Homogeneity]
+    final: list[bool]
+    succ: list[dict[str, int]]  # symbol -> number of the successor
 
 
-def _subset_table(m: LinearAutomaton) -> dict[frozenset[str], dict[str, frozenset[str]]]:
-    # Reachable subsets in breadth-first order, each mapped to its successor
-    # per symbol.  The empty union is skipped, matching a partial transition
-    # function on the determinized side.
+def _subset_table(m: LinearAutomaton) -> _Subsets:
+    # A subset is an int mask over the states in name order.  Each state and
+    # symbol has one target mask, a subset's successor is the OR of its
+    # members' masks, and its homogeneity and finality are one AND each.  The
+    # empty union is skipped, matching a partial transition function on the
+    # determinized side.
     _require_lambda_free(m, "subset construction")
-    alphabet = sorted(m.alphabet)
-    table: dict[frozenset[str], dict[str, frozenset[str]]] = {}
-    frontier = deque(frozenset({q}) for q in sorted(m.initial))
-    while frontier:
-        x = frontier.popleft()
-        if x in table:
-            continue
-        succ = table[x] = {}
-        for a in alphabet:
-            y = frozenset().union(*(m.targets(q, a) for q in x))
-            if y:
-                succ[a] = y
-                frontier.append(y)
-    return table
+    order = sorted(m.states)
+    at = {q: i for i, q in enumerate(order)}
+
+    def mask(states: Iterable[str]) -> int:
+        return sum(1 << at[q] for q in states)
+
+    targets = {a: [0] * len(order) for a in sorted(m.alphabet)}
+    for (q, a), ts in m._cells.items():
+        targets[a][at[q]] = mask(ts)
+    left, right, final = mask(m.left_states), mask(m.right_states), mask(m.final)
+    t = _Subsets([], [], [], [])
+    all_left, all_right, mixed = Homogeneity  # enum member lookups are slow
+    masks = [1 << at[q] for q in sorted(m.initial)]
+    number = {x: k for k, x in enumerate(masks)}
+    for k, x in enumerate(masks):  # the loop sees subsets appended as they are found
+        members, rest = [], x
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        t.members.append(tuple(map(order.__getitem__, members)))
+        t.homogeneity.append(all_left if not x & right else
+                             all_right if not x & left else mixed)
+        t.final.append(x & final != 0)
+        succ = {}
+        for a, row in targets.items():
+            if y := reduce(or_, map(row.__getitem__, members)):
+                if y not in number:
+                    number[y] = len(masks)
+                    masks.append(y)
+                succ[a] = number[y]
+        t.succ.append(succ)
+    return t
 
 
 def subset_states(m: LinearAutomaton) -> set[SubsetState]:
     """The reachable subset-state family, each tagged with its homogeneity."""
-    return {SubsetState(x, _homogeneity(m, x)) for x in _subset_table(m)}
+    t = _subset_table(m)
+    return set(map(SubsetState, map(frozenset, t.members), t.homogeneity))
 
 
 def is_determinizable(m: LinearAutomaton) -> bool:
     """True when no reachable subset mixes left and right states."""
-    return all(_homogeneity(m, x) is not Homogeneity.MIXED for x in _subset_table(m))
+    return Homogeneity.MIXED not in _subset_table(m).homogeneity
+
+
+def mixed_subset_witness(m: LinearAutomaton) -> tuple[tuple[str, ...], str | None] | None:
+    """The least mixed subset (its members in name order) and a shortest input
+    word reaching it, or None when the automaton is determinizable.
+
+    The word is searched breadth-first over the subset table: an all-left
+    subset reads the next symbol from the word's left end, an all-right one
+    from its right end.  A mixed subset reads from both ends at once, so no
+    word leads past one; when every path to the least mixed subset passes
+    another mixed subset, the word is None.
+    """
+    t = _subset_table(m)
+    mixed = [k for k, h in enumerate(t.homogeneity) if h is Homogeneity.MIXED]
+    if not mixed:
+        return None
+    target = min(mixed, key=t.members.__getitem__)
+    read = {k: ("", "") for k in range(len(m.initial))}  # subset -> (left, right) reads
+    queue = list(read)  # the start singletons are numbered first
+    for k in queue:
+        if k == target:
+            return t.members[k], "".join(read[k])
+        if (h := t.homogeneity[k]) is Homogeneity.MIXED:
+            continue
+        x, y = read[k]
+        for a, n in t.succ[k].items():
+            if n not in read:
+                read[n] = (x + a, y) if h is Homogeneity.ALL_LEFT else (x, a + y)
+                queue.append(n)
+    return t.members[target], None
 
 
 def determinize(m: LinearAutomaton) -> LinearAutomaton:
     """Subset construction over homogeneous subsets; start set kept as-is."""
-    subsets = _subset_table(m)
-    mixed = [x for x in subsets if _homogeneity(m, x) is Homogeneity.MIXED]
-    if mixed:
-        worst = sorted(mixed[0])
+    t = _subset_table(m)
+    if Homogeneity.MIXED in t.homogeneity:
+        worst = list(t.members[t.homogeneity.index(Homogeneity.MIXED)])
         raise NotDeterminizable(f"subset mixes both classes: {worst}")
     pool = NamePool()
-    names = {x: pool.fresh("_".join(sorted(x))) for x in subsets}
-    left = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_LEFT}
-    right = {names[x] for x in subsets if _homogeneity(m, x) is Homogeneity.ALL_RIGHT}
-    delta = {(names[x], a): {names[y]}
-             for x, succ in subsets.items() for a, y in succ.items()}
-    initial = {names[frozenset({q})] for q in m.initial}
-    final = {names[x] for x in subsets if x & m.final}
-    return LinearAutomaton(frozenset(left), frozenset(right), m.alphabet,
-                           delta, frozenset(initial), frozenset(final))
+    names = [pool.fresh("_".join(x)) for x in t.members]
+    left = {q for q, h in zip(names, t.homogeneity) if h is Homogeneity.ALL_LEFT}
+    delta = {(names[k], a): (names[y],) for k, succ in enumerate(t.succ)
+             for a, y in succ.items()}
+    final = {q for q, f in zip(names, t.final) if f}
+    # the start singletons are numbered first
+    return LinearAutomaton(frozenset(left), frozenset(names) - left, m.alphabet,
+                           delta, frozenset(names[:len(m.initial)]), frozenset(final))
 
 
 def _move_rules(m: LinearAutomaton) -> dict[str, list[tuple[str, str | None, str]]]:

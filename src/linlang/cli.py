@@ -181,11 +181,16 @@ def _run_auto(args) -> int:
     elif args.action == "is-even":
         ok = auto_ops.is_even(m)
     elif args.action == "is-determinizable":
-        mixed = [sorted(s.members) for s in auto_ops.subset_states(m)
-                 if s.homogeneity is auto_ops.Homogeneity.MIXED]
-        ok = not mixed
-        if mixed:
-            print(f"mixed subset: {{{', '.join(min(mixed))}}}", file=sys.stderr)
+        witness = auto_ops.mixed_subset_witness(m)
+        ok = witness is None
+        if witness:
+            members, word = witness
+            print(f"mixed subset: {{{', '.join(members)}}}", file=sys.stderr)
+            if word is None:
+                word = "none: every path to it passes another mixed subset"
+            else:
+                word = _show(word)
+            print(f"shortest word reaching it: {word}", file=sys.stderr)
     elif args.action == "determinize":
         if args.strict and len(m.initial) > 1:
             print(f"strict: automaton has {len(m.initial)} start states",

@@ -7,7 +7,6 @@ from .errors import NotDeterministicLinear, NotEven
 from .grammar import (
     LinearGrammar,
     Production,
-    classify_variable,
     VariableClass,
     _slnf_body_ok,
     is_deterministic_linear,
@@ -31,8 +30,7 @@ def _slnf_to_nla(g: LinearGrammar, sink_side: str | None) -> LinearAutomaton:
     The sink performs no reads, so its side is semantically inert; the even
     pipeline puts it on the right so the transition diagram stays bipartite.
     """
-    right = {v.name for v in g.variables
-             if classify_variable(g, v) is VariableClass.LEFT_LINEAR}
+    right = {v.name for v, c in g._classes.items() if c is VariableClass.LEFT_LINEAR}
     left = {v.name for v in g.variables} - right
     final = set()
     sink = NamePool(g.symbol_names()).fresh("sink") if sink_side else None
@@ -64,16 +62,18 @@ def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     """Grammar generating exactly the automaton's language.
 
     One variable per state and one production per move, as read by
-    ``_move_rules``.  Several start states are merged by copying their
-    productions onto a fresh start variable.
+    ``_move_rules``; each distinct rule's body tuple is built once.
+    Several start states are merged by copying their productions onto a
+    fresh start variable.
     """
     names = NamePool(m.alphabet)
     var_of = {q: variable(names.fresh(q)) for q in sorted(m.states)}
     terminals = frozenset(map(terminal, m.alphabet))
     flank = {s.name: (s,) for s in terminals} | {LAMBDA: ()}  # a rule's flanks
-    prods = [Production(var_of[q], () if t is None else
-                        (*flank[left], var_of[t], *flank[right]))
-             for q, rules in _move_rules(m).items() for left, t, right in rules]
+    rules = _move_rules(m)
+    body_of = {(left, t, right): () if t is None else (*flank[left], var_of[t], *flank[right])
+               for left, t, right in set().union(*rules.values())}
+    prods = [Production(var_of[q], body_of[rule]) for q, rs in rules.items() for rule in rs]
     variables = set(var_of.values())
     if len(m.initial) == 1:
         start = var_of[next(iter(m.initial))]

@@ -25,7 +25,7 @@ from .errors import (
     StartNotDeclared,
     UnknownSymbol,
 )
-from .naming import NamePool, check_name
+from .naming import NamePool, check_name, names_ok
 
 
 class SymbolKind(enum.Enum):
@@ -83,6 +83,10 @@ class Production:
         body = tuple(body)
         _set(self, "head", head)
         _set(self, "body", body)
+        # the key comes first: the errors below print the production
+        key = " ".join(map(str, (head.name, *map(_name, body))))
+        hash(key)
+        _set(self, "_key", key)
         if head.kind is not _VARIABLE:
             raise UnknownSymbol(f"production head {head.name!r} is not a variable",
                                 subject=self)
@@ -90,9 +94,6 @@ class Production:
         if (count := kinds.count(_VARIABLE)) > 1:
             raise NotLinear(f"body of {self} holds more than one variable", subject=self)
         _set(self, "variable_index", kinds.index(_VARIABLE) if count else None)
-        key = " ".join(map(str, (head.name, *map(_name, body))))
-        hash(key)
-        _set(self, "_key", key)
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -104,8 +105,8 @@ class Production:
         return (self.head.name, tuple(map(_name, self.body)))
 
     def __str__(self) -> str:
-        rhs = " ".join(s.name for s in self.body) if self.body else "eps"
-        return f"{self.head.name} -> {rhs}"
+        # the key is the line with the arrow left out
+        return self._key.replace(" ", " -> ", 1) if self.body else f"{self._key} -> eps"
 
 
 class VariableClass(enum.Enum):
@@ -125,14 +126,17 @@ class LinearGrammar:
     def __post_init__(self):
         for name in ("variables", "terminals", "productions"):
             _set(self, name, frozenset(getattr(self, name)))
-        # Names are visited in sorted order, so of several faults the same
-        # one is always reported.
-        for kind, pool in ((_VARIABLE, self.variables), (_TERMINAL, self.terminals)):
-            for s in sorted(pool, key=_name):
-                check_name(s.name, kind.value, single=kind is _TERMINAL)
-                if s.kind is not kind:
-                    raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
-                                        f"with kind {s.kind.value}", subject=s.name)
+        pools = ((_VARIABLE, self.variables), (_TERMINAL, self.terminals))
+        if not all(names_ok([s.name for s in pool], single=kind is _TERMINAL)
+                   and set(map(_kind, pool)) <= {kind} for kind, pool in pools):
+            # Names are visited in sorted order, so of several faults the
+            # same one is always reported.
+            for kind, pool in pools:
+                for s in sorted(pool, key=_name):
+                    check_name(s.name, kind.value, single=kind is _TERMINAL)
+                    if s.kind is not kind:
+                        raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
+                                            f"with kind {s.kind.value}", subject=s.name)
         if clash := {s.name for s in self.variables} & {s.name for s in self.terminals}:
             name = min(clash)
             raise DuplicateSymbol(f"{name!r} declared as both terminal and variable",
@@ -152,6 +156,21 @@ class LinearGrammar:
     # Normal forms, built on first use, so each grammar folds them once.
     _lnf = cached_property(lambda self: _build_lnf(self))
     _slnf = cached_property(lambda self: _build_slnf(self._lnf))
+
+    @cached_property
+    def _classes(self) -> dict[Symbol, VariableClass]:
+        # every head's class, read from its bodies once; a variable that
+        # heads nothing is BOTH
+        classes = {}
+        for v, ps in self._by_head.items():
+            right = left = True
+            for p in ps:
+                if (i := p.variable_index) is not None:
+                    right = right and i == len(p.body) - 1
+                    left = left and i == 0
+            classes[v] = ((VariableClass.BOTH if left else VariableClass.RIGHT_LINEAR) if right
+                          else VariableClass.LEFT_LINEAR if left else VariableClass.NEITHER)
+        return classes
 
     # -- conveniences used throughout the package --
 
@@ -207,18 +226,12 @@ def classify_variable(g: LinearGrammar, v: Symbol | str) -> VariableClass:
         v = g.variable_named(v)
     if v not in g.variables:
         raise UnknownSymbol(f"no variable named {v.name!r}")
-    ends = {(p.variable_index, len(p.body) - 1) for p in g.productions_of(v)
-            if p.variable_index is not None}
-    right = all(i == last for i, last in ends)
-    left = all(i == 0 for i, _ in ends)
-    if right:
-        return VariableClass.BOTH if left else VariableClass.RIGHT_LINEAR
-    return VariableClass.LEFT_LINEAR if left else VariableClass.NEITHER
+    return g._classes.get(v, VariableClass.BOTH)
 
 
 def is_lnf(g: LinearGrammar) -> bool:
     """True when every variable is purely left- or right-linear."""
-    return all(classify_variable(g, v) is not VariableClass.NEITHER for v in g.variables)
+    return VariableClass.NEITHER not in g._classes.values()
 
 
 def to_lnf(g: LinearGrammar) -> LinearGrammar:
@@ -288,7 +301,7 @@ def _build_slnf(lnf: LinearGrammar) -> LinearGrammar:
     variables = set(lnf.variables)
     prods: list[Production] = []
     for v, ps in lnf._by_head.items():
-        left_linear = classify_variable(lnf, v) is VariableClass.LEFT_LINEAR
+        left_linear = lnf._classes.get(v) is VariableClass.LEFT_LINEAR
         for p in ps:
             head, body = v, p.body
             from_right = left_linear if p.variable_index is None else p.variable_index == 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import InvalidIdentifier
 
@@ -29,6 +29,16 @@ def check_name(name: str, role: str = "symbol", single: bool = False) -> str:
         raise InvalidIdentifier(f"{role} {name!r} must be a single character",
                                 subject=name)
     return name
+
+
+def names_ok(names: Collection[str], single: bool = False) -> bool:
+    """True when ``check_name`` would pass every name, with no Python-level
+    call per name."""
+    try:
+        return (EPS not in names and all(map(NAME_RE.match, names))
+                and (not single or max(map(len, names), default=1) == 1))
+    except TypeError:  # a name that is not a str
+        return False
 
 
 class NamePool:

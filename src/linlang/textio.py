@@ -139,9 +139,7 @@ def serialize_grammar(g: LinearGrammar) -> str:
     out = ["grammar", f"start {g.start.name}"]
     out.append(" ".join(["terminals"] + sorted(t.name for t in g.terminals)).rstrip())
     out.append(" ".join(["variables"] + [v.name for v in g.sorted_variables()]))
-    for p in g.sorted_productions():
-        rhs = " ".join(s.name for s in p.body) if p.body else EPS
-        out.append(f"{p.head.name} -> {rhs}")
+    out += map(str, g.sorted_productions())
     return "\n".join(out) + "\n"
 
 

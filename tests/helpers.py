@@ -8,10 +8,14 @@ from collections import deque
 from pathlib import Path
 
 from linlang import (
+    Homogeneity,
     InstantaneousDescription,
     LinearAutomaton,
     LinearGrammar,
     Production,
+    Symbol,
+    SymbolKind,
+    VariableClass,
     is_even_linear,
     step,
     to_even_normal_form,
@@ -21,8 +25,8 @@ from linlang import (
 )
 from linlang.automaton import LAMBDA
 from linlang.convert import _slnf_to_nla
-from linlang.errors import NotEvenLinear
-from linlang.naming import NamePool
+from linlang.errors import NotDeterminizable, NotEvenLinear, UnknownSymbol
+from linlang.naming import NamePool, check_name
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "linlang" / "corpus" / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -247,3 +251,105 @@ def reference_trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | No
             if nxt not in parent:
                 stack.append((nxt, ident))
     return None
+
+
+def kth_from_last(k: int) -> LinearAutomaton:
+    """One-sided automaton for (a|b)* a (a|b)^k; its subset construction
+    reaches 2^(k+1) subsets."""
+    states = [f"s{i}" for i in range(k + 2)]
+    delta = {("s0", "a"): {"s0", "s1"}, ("s0", "b"): {"s0"}}
+    for i in range(1, k + 1):
+        delta[(f"s{i}", "a")] = delta[(f"s{i}", "b")] = {f"s{i + 1}"}
+    return validate_automaton(left=states, right=[], alphabet="ab", delta=delta,
+                              initial=["s0"], final=[f"s{k + 1}"])
+
+
+def reference_homogeneity(m: LinearAutomaton, members: frozenset[str]) -> Homogeneity:
+    if members <= m.left_states:
+        return Homogeneity.ALL_LEFT
+    if members <= m.right_states:
+        return Homogeneity.ALL_RIGHT
+    return Homogeneity.MIXED
+
+
+def reference_subset_table(m: LinearAutomaton) -> dict[frozenset[str], dict[str, frozenset[str]]]:
+    """Reachable subsets as frozensets in breadth-first order, each mapped to
+    its non-empty successor per symbol.
+
+    The slow reference for ``automaton._subset_table``: every successor is a
+    union of frozensets, one per member.
+    """
+    assert not m.has_lambda_moves
+    alphabet = sorted(m.alphabet)
+    table: dict[frozenset[str], dict[str, frozenset[str]]] = {}
+    frontier = deque(frozenset({q}) for q in sorted(m.initial))
+    while frontier:
+        x = frontier.popleft()
+        if x in table:
+            continue
+        succ = table[x] = {}
+        for a in alphabet:
+            y = frozenset().union(*(m.targets(q, a) for q in x))
+            if y:
+                succ[a] = y
+                frontier.append(y)
+    return table
+
+
+def reference_determinize(m: LinearAutomaton) -> LinearAutomaton:
+    """Subset construction read from ``reference_subset_table``."""
+    subsets = reference_subset_table(m)
+    mixed = [x for x in subsets if reference_homogeneity(m, x) is Homogeneity.MIXED]
+    if mixed:
+        raise NotDeterminizable(f"subset mixes both classes: {sorted(mixed[0])}")
+    pool = NamePool()
+    names = {x: pool.fresh("_".join(sorted(x))) for x in subsets}
+    left = {names[x] for x in subsets
+            if reference_homogeneity(m, x) is Homogeneity.ALL_LEFT}
+    delta = {(names[x], a): {names[y]} for x, succ in subsets.items() for a, y in succ.items()}
+    return LinearAutomaton(frozenset(left), frozenset(names.values()) - left, m.alphabet,
+                           delta, frozenset(names[frozenset({q})] for q in m.initial),
+                           frozenset(names[x] for x in subsets if x & m.final))
+
+
+def reference_classify_variable(g: LinearGrammar, v: Symbol) -> VariableClass:
+    """One variable's class, recomputed from its own bodies on every call."""
+    ends = {(p.variable_index, len(p.body) - 1) for p in g.productions_of(v)
+            if p.variable_index is not None}
+    right = all(i == last for i, last in ends)
+    left = all(i == 0 for i, _ in ends)
+    if right:
+        return VariableClass.BOTH if left else VariableClass.RIGHT_LINEAR
+    return VariableClass.LEFT_LINEAR if left else VariableClass.NEITHER
+
+
+def _error(run) -> tuple | None:
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 - whatever the loop raises is the reference
+        return type(exc), str(exc), getattr(exc, "subject", None)
+    return None
+
+
+def reference_grammar_name_error(variables, terminals) -> tuple | None:
+    """(type, message, subject) that a sorted per-name loop raises first over a
+    grammar's declared symbols, or None when every one passes."""
+    def run():
+        for kind, pool in ((SymbolKind.VARIABLE, variables), (SymbolKind.TERMINAL, terminals)):
+            for s in sorted(pool, key=lambda s: s.name):
+                check_name(s.name, kind.value, single=kind is SymbolKind.TERMINAL)
+                if s.kind is not kind:
+                    raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
+                                        f"with kind {s.kind.value}", subject=s.name)
+    return _error(run)
+
+
+def reference_automaton_name_error(states, alphabet) -> tuple | None:
+    """(type, message, subject) that a sorted per-name loop raises first over an
+    automaton's states and symbols, or None when every name passes."""
+    def run():
+        for q in sorted(states):
+            check_name(q, "state")
+        for a in sorted(alphabet):
+            check_name(a, "alphabet symbol", single=True)
+    return _error(run)

@@ -74,6 +74,45 @@ class TestAutoCommands:
         assert captured.out == "false\n"
         assert "mixed subset: {p1, q1}" in captured.err
 
+    def test_is_determinizable_names_a_shortest_word(self, capsys, tmp_path):
+        assert run(["auto", "is-determinizable", "-i", fixture_path("lk_2.lin")]) == 1
+        assert capsys.readouterr().err == ("mixed subset: {p1, q1}\n"
+                                           "shortest word reaching it: b\n")
+        # {q1, r} is reached by ab, aaab, ...; the shortest word is named
+        path = tmp_path / "late_mix.lin"
+        path.write_text("automaton\nalphabet a b\nleft q0 q1 q2\nright r\n"
+                        "initial q0\nfinal r\nq0 a -> q1 q2\nq1 b -> q1 r\n"
+                        "q2 a -> q0\n")
+        assert run(["auto", "is-determinizable", "-i", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "false\n"
+        assert captured.err == "mixed subset: {q1, r}\nshortest word reaching it: ab\n"
+        assert run(["auto", "is-determinizable", "-i", fixture_path("dla_anbn_ancn.lin")]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("true\n", "")
+
+    def test_is_determinizable_word_puts_right_reads_at_the_right_end(self, capsys, tmp_path):
+        # the right state r0 reads a from the right end, then the left state l
+        # reads b from the left end, so the word is ba, not the read order ab
+        path = tmp_path / "right_first.lin"
+        path.write_text("automaton\nalphabet a b\nleft l\nright r0 r1\n"
+                        "initial r0\nfinal r1\nr0 a -> l\nl b -> l r1\n")
+        assert run(["auto", "is-determinizable", "-i", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "false\n"
+        assert captured.err == "mixed subset: {l, r1}\nshortest word reaching it: ba\n"
+
+    def test_is_determinizable_says_when_no_word_reaches_the_subset(self, capsys, tmp_path):
+        # {p, r} is only reached from the mixed subset {r, s}
+        path = tmp_path / "mixed_only.lin"
+        path.write_text("automaton\nalphabet a b\nleft p s\nright r\n"
+                        "initial s\nfinal p\ns a -> r s\ns b -> r\nr b -> p\n")
+        assert run(["auto", "is-determinizable", "-i", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "false\n"
+        assert captured.err == ("mixed subset: {p, r}\nshortest word reaching it: "
+                                "none: every path to it passes another mixed subset\n")
+
     def test_elim_lambda_output_parses(self, capsys):
         code = run(["auto", "elim-lambda", "-i", fixture_path("ex_nla.lin")])
         assert code == 0

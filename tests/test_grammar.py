@@ -85,6 +85,12 @@ class TestValidate:
         assert isinstance(err.value.subject, Production)
         assert str(err.value.subject) == "S -> S S"
 
+    def test_production_checks_its_head_before_its_body(self):
+        S, a = grammar.variable("S"), grammar.terminal("a")
+        with pytest.raises(UnknownSymbol) as err:
+            Production(a, (S, S))
+        assert str(err.value.subject) == "a -> S S"
+
     def test_duplicate_symbol(self):
         with pytest.raises(DuplicateSymbol):
             validate_grammar(variables=["S", "a"], terminals=["a"], start="S",
