@@ -280,6 +280,31 @@ class _Liveness:
         return self.level(lo + self.n - hi).get(q, 0) >> lo & 1 == 1
 
 
+def _run(m: LinearAutomaton, word: str) -> list[InstantaneousDescription] | None:
+    """The search behind ``trace``, returning descriptions: O(n) memory, not n²/2 characters."""
+    live = _Liveness(m, word, _symbol_masks(m, word))
+    starts = [InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial)]
+    stack: list[tuple[InstantaneousDescription, InstantaneousDescription | None]]
+    stack = [(ident, None) for ident in reversed(starts) if ident in live]
+    parent: dict[InstantaneousDescription, InstantaneousDescription | None] = {}
+    while stack:
+        ident, via = stack.pop()
+        if ident in parent:
+            continue
+        parent[ident] = via
+        if ident.lo >= ident.hi and ident.state in m.final:
+            path = [ident]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        # a read leaves less input than a lambda move, so it sorts first
+        for nxt in sorted(step(m, ident, word), key=lambda i: (i.hi - i.lo, i.state),
+                          reverse=True):
+            if nxt not in parent and nxt in live:
+                stack.append((nxt, ident))
+    return None
+
+
 def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
     """One accepting run as (state, remaining-substring) pairs, or None.
 
@@ -292,29 +317,8 @@ def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
     neither the order nor the parent of the first visit to a live one, so
     the run is the one the plain search would return.
     """
-    live = _Liveness(m, word, _symbol_masks(m, word))
-    starts = [InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial)]
-    stack: list[tuple[InstantaneousDescription, InstantaneousDescription | None]]
-    stack = [(ident, None) for ident in reversed(starts) if ident in live]
-    parent: dict[InstantaneousDescription, InstantaneousDescription | None] = {}
-    while stack:
-        ident, via = stack.pop()
-        if ident in parent:
-            continue
-        parent[ident] = via
-        if ident.lo >= ident.hi and ident.state in m.final:
-            path = []
-            node: InstantaneousDescription | None = ident
-            while node is not None:
-                path.append((node.state, node.remaining(word)))
-                node = parent[node]
-            return path[::-1]
-        # a read leaves less input than a lambda move, so it sorts first
-        for nxt in sorted(step(m, ident, word), key=lambda i: (i.hi - i.lo, i.state),
-                          reverse=True):
-            if nxt not in parent and nxt in live:
-                stack.append((nxt, ident))
-    return None
+    run = _run(m, word)
+    return None if run is None else [(q, word[lo:hi]) for q, lo, hi in run]
 
 
 def lambda_closure(m: LinearAutomaton, q: str) -> frozenset[str]:

@@ -8,6 +8,7 @@ go to stderr; machine-readable results to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import automaton as auto_ops
@@ -46,184 +47,114 @@ def _show(word: str) -> str:
     return word if word else EPS
 
 
-def _add_io(p: argparse.ArgumentParser, output: bool = True) -> None:
-    p.add_argument("-i", "--input-file", metavar="PATH", default=None,
-                   help="input file (default: stdin)")
-    if output:
-        p.add_argument("-o", "--output-file", metavar="PATH", default=None,
-                       help="output file (default: stdout)")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="linlang")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("grammar", help="operations on grammar files")
-    gsub = g.add_subparsers(dest="action", required=True)
-    for name in ("check", "classify"):
-        _add_io(gsub.add_parser(name), output=False)
-    for name in ("lnf", "slnf", "even-nf"):
-        _add_io(gsub.add_parser(name))
-    ge = gsub.add_parser("enum")
-    _add_io(ge, output=False)
-    ge.add_argument("--max-len", type=int, required=True)
-
-    a = sub.add_parser("auto", help="operations on automaton files")
-    asub = a.add_subparsers(dest="action", required=True)
-    _add_io(asub.add_parser("check"), output=False)
-    asim = asub.add_parser("simulate")
-    _add_io(asim, output=False)
-    asim.add_argument("--input", required=True, metavar="WORD",
-                      help=f"word to run ({EPS} for the empty word)")
-    asim.add_argument("--trace", action="store_true",
-                      help="print one accepting run")
-    aen = asub.add_parser("enum")
-    _add_io(aen, output=False)
-    aen.add_argument("--max-len", type=int, required=True)
-    _add_io(asub.add_parser("elim-lambda"))
-    for name in ("is-det", "is-even", "is-determinizable"):
-        _add_io(asub.add_parser(name), output=False)
-    adet = asub.add_parser("determinize")
-    _add_io(adet)
-    adet.add_argument("--strict", action="store_true",
-                      help="warn when the automaton has several start states")
-    _add_io(asub.add_parser("ndeg"), output=False)
-
-    c = sub.add_parser("convert", help="grammar/automaton constructions")
-    csub = c.add_subparsers(dest="action", required=True)
-    for name in ("g2a", "a2g", "det-g2dla", "even-g2a", "even-a2g"):
-        _add_io(csub.add_parser(name))
-
-    gen = sub.add_parser("gen", help="generate built-in families")
-    gensub = gen.add_subparsers(dest="action", required=True)
-    lk = gensub.add_parser("lk")
-    lk.add_argument("--k", type=int, required=True)
-    lk.add_argument("-o", "--output-file", metavar="PATH", default=None)
-
-    eq = sub.add_parser("equiv", help="bounded language comparison")
-    eq.add_argument("kind1", choices=("g", "a"))
-    eq.add_argument("file1")
-    eq.add_argument("kind2", choices=("g", "a"))
-    eq.add_argument("file2")
-    eq.add_argument("--max-len", type=int, required=True)
-
-    ex = sub.add_parser("export", help="diagram export")
-    exsub = ex.add_subparsers(dest="action", required=True)
-    _add_io(exsub.add_parser("dot"))
-    return top
-
-
-def _load_grammar(args) -> grammar_ops.LinearGrammar:
-    return textio.parse_grammar(_read(args.input_file))
-
-
-def _load_automaton(args) -> auto_ops.LinearAutomaton:
-    return textio.parse_automaton(_read(args.input_file))
-
-
-def _enumerate_path(kind: str, path: str, max_len: int) -> list[str]:
-    text = _read(path)
+def _words(kind: str, text: str, max_len: int) -> list[str]:
     if kind == "g":
         return grammar_ops.enumerate_language(textio.parse_grammar(text), max_len)
     return auto_ops.enumerate_accepted(textio.parse_automaton(text), max_len)
 
 
-def _run_grammar(args) -> int:
-    if args.action == "check":
-        g = _load_grammar(args)
-        print(f"ok: {len(g.variables)} variables, {len(g.terminals)} terminals, "
-              f"{len(g.productions)} productions")
+def _transform(parse, op, serialize):
+    """Handler for a command that turns its one input file into one text."""
+    def handler(args) -> int:
+        _write(args.output_file, serialize(op(parse(_read(args.input_file)))))
         return 0
-    if args.action == "classify":
-        g = _load_grammar(args)
-        for v in g.sorted_variables():
-            print(f"{v.name} {grammar_ops.classify_variable(g, v).value}")
-        return 0
-    if args.action == "enum":
-        g = _load_grammar(args)
-        for w in grammar_ops.enumerate_language(g, args.max_len):
-            print(_show(w))
-        return 0
-    g = _load_grammar(args)
-    op = {"lnf": grammar_ops.to_lnf, "slnf": grammar_ops.to_slnf,
-          "even-nf": grammar_ops.to_even_normal_form}[args.action]
-    _write(args.output_file, textio.serialize_grammar(op(g)))
+    return handler
+
+
+def _reads(parse):
+    """Turn ``report(obj, args) -> status`` into a handler that parses the input first."""
+    def wrap(report):
+        return lambda args: report(parse(_read(args.input_file)), args)
+    return wrap
+
+
+@_reads(textio.parse_grammar)
+def _grammar_check(g, args) -> int:
+    print(f"ok: {len(g.variables)} variables, {len(g.terminals)} terminals, "
+          f"{len(g.productions)} productions")
     return 0
 
 
-def _run_auto(args) -> int:
-    m = _load_automaton(args)
-    if args.action == "check":
-        print(f"ok: {len(m.states)} states, {len(m.delta)} transition cells")
-        return 0
-    if args.action == "simulate":
-        word = "" if args.input == EPS else args.input
-        if args.trace:
-            run = auto_ops.trace(m, word)
-            if run is None:
-                print("reject")
-                return 1
-            for state, rest in run:
-                print(f"({state},{_show(rest)})")
-            return 0
+@_reads(textio.parse_grammar)
+def _classify(g, args) -> int:
+    for v in g.sorted_variables():
+        print(f"{v.name} {grammar_ops.classify_variable(g, v).value}")
+    return 0
+
+
+def _enum(kind: str, args) -> int:
+    for w in _words(kind, _read(args.input_file), args.max_len):
+        print(_show(w))
+    return 0
+
+
+@_reads(textio.parse_automaton)
+def _auto_check(m, args) -> int:
+    print(f"ok: {len(m.states)} states, {len(m.delta)} transition cells")
+    return 0
+
+
+@_reads(textio.parse_automaton)
+def _simulate(m, args) -> int:
+    word = "" if args.input == EPS else args.input
+    if not args.trace:
         ok = auto_ops.accepts(m, word)
         print("accept" if ok else "reject")
         return 0 if ok else 1
-    if args.action == "enum":
-        for w in auto_ops.enumerate_accepted(m, args.max_len):
-            print(_show(w))
-        return 0
-    if args.action == "elim-lambda":
-        _write(args.output_file, textio.serialize_automaton(auto_ops.eliminate_lambda(m)))
-        return 0
-    if args.action == "is-det":
-        ok = auto_ops.is_deterministic(m)
-    elif args.action == "is-even":
-        ok = auto_ops.is_even(m)
-    elif args.action == "is-determinizable":
-        witness = auto_ops.mixed_subset_witness(m)
-        ok = witness is None
-        if witness:
-            members, word = witness
-            print(f"mixed subset: {{{', '.join(members)}}}", file=sys.stderr)
-            if word is None:
-                word = "none: every path to it passes another mixed subset"
-            else:
-                word = _show(word)
-            print(f"shortest word reaching it: {word}", file=sys.stderr)
-    elif args.action == "determinize":
-        if args.strict and len(m.initial) > 1:
-            print(f"strict: automaton has {len(m.initial)} start states",
-                  file=sys.stderr)
-        _write(args.output_file, textio.serialize_automaton(auto_ops.determinize(m)))
-        return 0
-    elif args.action == "ndeg":
-        print(auto_ops.ndeg(m))
-        return 0
-    else:  # pragma: no cover
-        raise AssertionError(args.action)
-    print("true" if ok else "false")
-    return 0 if ok else 1
-
-
-def _run_convert(args) -> int:
-    if args.action == "a2g":
-        out = textio.serialize_grammar(convert.nla_to_grammar(_load_automaton(args)))
-    elif args.action == "even-a2g":
-        out = textio.serialize_grammar(convert.even_nla_to_grammar(_load_automaton(args)))
-    elif args.action == "g2a":
-        out = textio.serialize_automaton(convert.grammar_to_nla(_load_grammar(args)))
-    elif args.action == "det-g2dla":
-        out = textio.serialize_automaton(convert.det_grammar_to_dla(_load_grammar(args)))
-    else:  # even-g2a
-        out = textio.serialize_automaton(convert.even_grammar_to_nla(_load_grammar(args)))
-    _write(args.output_file, out)
+    run = auto_ops._run(m, word)
+    if run is None:
+        print("reject")
+        return 1
+    # one line at a time: the run's substrings together hold about n^2/2 characters
+    for state, lo, hi in run:
+        print(f"({state},{_show(word[lo:hi])})")
     return 0
 
 
-def _run_equiv(args) -> int:
-    first = set(_enumerate_path(args.kind1, args.file1, args.max_len))
-    second = set(_enumerate_path(args.kind2, args.file2, args.max_len))
+def _verdict(test):
+    """Handler printing whether the input automaton passes ``test``; status 1 if not."""
+    @_reads(textio.parse_automaton)
+    def handler(m, args) -> int:
+        ok = test(m)
+        print("true" if ok else "false")
+        return 0 if ok else 1
+    return handler
+
+
+def _determinizable(m: auto_ops.LinearAutomaton) -> bool:
+    """``is_determinizable``, naming a mixed subset and a shortest word reaching it."""
+    witness = auto_ops.mixed_subset_witness(m)
+    if witness:
+        members, word = witness
+        print(f"mixed subset: {{{', '.join(members)}}}", file=sys.stderr)
+        word = (_show(word) if word is not None
+                else "none: every path to it passes another mixed subset")
+        print(f"shortest word reaching it: {word}", file=sys.stderr)
+    return witness is None
+
+
+@_reads(textio.parse_automaton)
+def _determinize(m, args) -> int:
+    if args.strict and len(m.initial) > 1:
+        print(f"strict: automaton has {len(m.initial)} start states", file=sys.stderr)
+    _write(args.output_file, textio.serialize_automaton(auto_ops.determinize(m)))
+    return 0
+
+
+@_reads(textio.parse_automaton)
+def _ndeg(m, args) -> int:
+    print(auto_ops.ndeg(m))
+    return 0
+
+
+def _gen_lk(args) -> int:
+    _write(args.output_file, textio.serialize_automaton(hierarchy.build_lk_automaton(args.k)))
+    return 0
+
+
+def _equiv(args) -> int:
+    first = set(_words(args.kind1, _read(args.file1), args.max_len))
+    second = set(_words(args.kind2, _read(args.file2), args.max_len))
     only_first = sorted(first - second, key=lambda w: (len(w), w))
     only_second = sorted(second - first, key=lambda w: (len(w), w))
     for w in only_first:
@@ -237,30 +168,92 @@ def _run_equiv(args) -> int:
     return 0
 
 
+def _add_io(p: argparse.ArgumentParser, handler, output: bool = True) -> argparse.ArgumentParser:
+    p.add_argument("-i", "--input-file", metavar="PATH", default=None,
+                   help="input file (default: stdin)")
+    if output:
+        p.add_argument("-o", "--output-file", metavar="PATH", default=None,
+                       help="output file (default: stdout)")
+    p.set_defaults(handler=handler)
+    return p
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every later ``run``."""
+    grm, lin = textio.parse_grammar, textio.parse_automaton
+    to_grm, to_lin = textio.serialize_grammar, textio.serialize_automaton
+    top = argparse.ArgumentParser(prog="linlang")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    g = sub.add_parser("grammar", help="operations on grammar files")
+    gsub = g.add_subparsers(dest="action", required=True)
+    _add_io(gsub.add_parser("check"), _grammar_check, output=False)
+    _add_io(gsub.add_parser("classify"), _classify, output=False)
+    for name, op in (("lnf", grammar_ops.to_lnf), ("slnf", grammar_ops.to_slnf),
+                     ("even-nf", grammar_ops.to_even_normal_form)):
+        _add_io(gsub.add_parser(name), _transform(grm, op, to_grm))
+    ge = _add_io(gsub.add_parser("enum"), functools.partial(_enum, "g"), output=False)
+    ge.add_argument("--max-len", type=int, required=True)
+
+    a = sub.add_parser("auto", help="operations on automaton files")
+    asub = a.add_subparsers(dest="action", required=True)
+    _add_io(asub.add_parser("check"), _auto_check, output=False)
+    asim = _add_io(asub.add_parser("simulate"), _simulate, output=False)
+    asim.add_argument("--input", required=True, metavar="WORD",
+                      help=f"word to run ({EPS} for the empty word)")
+    asim.add_argument("--trace", action="store_true",
+                      help="print one accepting run")
+    aen = _add_io(asub.add_parser("enum"), functools.partial(_enum, "a"), output=False)
+    aen.add_argument("--max-len", type=int, required=True)
+    _add_io(asub.add_parser("elim-lambda"), _transform(lin, auto_ops.eliminate_lambda, to_lin))
+    for name, test in (("is-det", auto_ops.is_deterministic), ("is-even", auto_ops.is_even),
+                       ("is-determinizable", _determinizable)):
+        _add_io(asub.add_parser(name), _verdict(test), output=False)
+    adet = _add_io(asub.add_parser("determinize"), _determinize)
+    adet.add_argument("--strict", action="store_true",
+                      help="warn when the automaton has several start states")
+    _add_io(asub.add_parser("ndeg"), _ndeg, output=False)
+
+    c = sub.add_parser("convert", help="grammar/automaton constructions")
+    csub = c.add_subparsers(dest="action", required=True)
+    for name, parse, op, serialize in (
+            ("g2a", grm, convert.grammar_to_nla, to_lin),
+            ("a2g", lin, convert.nla_to_grammar, to_grm),
+            ("det-g2dla", grm, convert.det_grammar_to_dla, to_lin),
+            ("even-g2a", grm, convert.even_grammar_to_nla, to_lin),
+            ("even-a2g", lin, convert.even_nla_to_grammar, to_grm)):
+        _add_io(csub.add_parser(name), _transform(parse, op, serialize))
+
+    gen = sub.add_parser("gen", help="generate built-in families")
+    gensub = gen.add_subparsers(dest="action", required=True)
+    lk = gensub.add_parser("lk")
+    lk.add_argument("--k", type=int, required=True)
+    lk.add_argument("-o", "--output-file", metavar="PATH", default=None)
+    lk.set_defaults(handler=_gen_lk)
+
+    eq = sub.add_parser("equiv", help="bounded language comparison")
+    eq.add_argument("kind1", choices=("g", "a"))
+    eq.add_argument("file1")
+    eq.add_argument("kind2", choices=("g", "a"))
+    eq.add_argument("file2")
+    eq.add_argument("--max-len", type=int, required=True)
+    eq.set_defaults(handler=_equiv)
+
+    ex = sub.add_parser("export", help="diagram export")
+    exsub = ex.add_subparsers(dest="action", required=True)
+    _add_io(exsub.add_parser("dot"), _transform(lin, textio.to_dot, str))
+    return top
+
+
 def run(argv: list[str]) -> int:
     """Dispatch one command line; returns the exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "grammar":
-            return _run_grammar(args)
-        if args.command == "auto":
-            return _run_auto(args)
-        if args.command == "convert":
-            return _run_convert(args)
-        if args.command == "gen":
-            _write(args.output_file,
-                   textio.serialize_automaton(hierarchy.build_lk_automaton(args.k)))
-            return 0
-        if args.command == "equiv":
-            return _run_equiv(args)
-        if args.command == "export":
-            _write(args.output_file, textio.to_dot(_load_automaton(args)))
-            return 0
-        raise AssertionError(args.command)  # pragma: no cover
+        return args.handler(args)
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

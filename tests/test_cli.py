@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import linlang
 from linlang import enumerate_accepted, ndeg, parse_automaton, parse_grammar, to_lnf
 from linlang import serialize_grammar
-from linlang.cli import run
+from linlang.cli import _build_parser, run
 from linlang.corpus import load_fixture
 
 from helpers import DATA, GOLDEN
@@ -224,3 +229,33 @@ class TestStdin:
 
     def test_usage_error(self, capsys):
         assert run(["grammar", "no-such-action"]) == 2
+
+
+class TestProcess:
+    def test_parser_is_built_once_and_survives_a_usage_error(self, capsys):
+        assert _build_parser() is _build_parser()
+        assert run(["gen", "lk", "--k", "x"]) == 2
+        capsys.readouterr()
+        assert run(["grammar", "check", "-i", fixture_path("ex_lg.grm")]) == 0
+        assert capsys.readouterr() == ("ok: 1 variables, 2 terminals, 6 productions\n", "")
+
+    def test_simulate_trace_streams_a_long_run(self):
+        # the run of a^8000 b^16000 on lk_3 prints about 288M characters; printed
+        # line by line the command's peak stays near the interpreter's own size.
+        # A process that execs keeps its parent's peak in ru_maxrss, so the
+        # command runs under a small Python parent, not under the test runner.
+        cli = "import sys; from linlang.cli import run; sys.exit(run(sys.argv[1:]))"
+        command = [sys.executable, "-c", cli, "auto", "simulate", "-i", fixture_path("lk_3.lin"),
+                   "--input", "a" * 8000 + "b" * 16000, "--trace"]
+        probe = ("import resource, subprocess, sys\n"
+                 "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+                 "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        src = str(Path(linlang.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.run([sys.executable, "-c", probe, *command],
+                               capture_output=True, text=True, env=env, check=True)
+        code, peak = map(int, child.stdout.split())
+        peak_mib = peak / (2**20 if sys.platform == "darwin" else 2**10)
+        assert code == 0
+        assert peak_mib < 50, f"peak RSS {peak_mib:.0f} MiB"

@@ -99,10 +99,8 @@ def cases() -> list[Case]:
 
 
 def _block(label: str, text: str) -> str:
-    n = text.count("\n")
-    if text.endswith("\n") or not text:
-        return f"{label}: {n} lines\n{text}"
-    return f"{label}: {n + 1} lines, no final newline\n{text}\n"
+    lines = text.count("\n")
+    return f"{label}: {lines} lines\n{text}"
 
 
 def _record(case: Case) -> str:
