@@ -335,10 +335,10 @@ def eliminate_lambda(m: LinearAutomaton) -> LinearAutomaton:
     into sources: the reading direction belongs to the state performing the
     read, and a lambda move may cross between the two classes.
     """
-    closures = {q: lambda_closure(m, q) for q in m.states}
-    delta = {(q, a): frozenset().union(*(closures[t] for t in targets))
+    closures = {q: lambda_closure(m, q) for q, a in m.delta if a == LAMBDA}
+    delta = {(q, a): frozenset().union(*(closures.get(t, (t,)) for t in targets))
              for (q, a), targets in m.delta.items() if a != LAMBDA}
-    initial = frozenset().union(*(closures[q] for q in m.initial))
+    initial = frozenset().union(*(closures.get(q, (q,)) for q in m.initial))
     return LinearAutomaton(m.left_states, m.right_states, m.alphabet,
                            delta, initial, m.final)
 

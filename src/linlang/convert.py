@@ -6,14 +6,13 @@ from .automaton import LAMBDA, LinearAutomaton, _move_rules, is_even, validate_a
 from .errors import NotDeterministicLinear, NotEven
 from .grammar import (
     LinearGrammar,
-    Production,
     VariableClass,
-    _slnf_body_ok,
+    _body,
+    _grammar,
+    _line,
     is_deterministic_linear,
     to_even_normal_form,
-    terminal,
     to_slnf,
-    variable,
 )
 from .naming import NamePool
 
@@ -30,27 +29,24 @@ def _slnf_to_nla(g: LinearGrammar, sink_side: str | None) -> LinearAutomaton:
     The sink performs no reads, so its side is semantically inert; the even
     pipeline puts it on the right so the transition diagram stays bipartite.
     """
-    right = {v.name for v, c in g._classes.items() if c is VariableClass.LEFT_LINEAR}
-    left = {v.name for v in g.variables} - right
+    right = {v for v, c in g._classes.items() if c is VariableClass.LEFT_LINEAR}
+    left = set(g._variables - right)
     final = set()
     sink = NamePool(g.symbol_names()).fresh("sink") if sink_side else None
     if sink:
         (left if sink_side == "left" else right).add(sink)
         final.add(sink)
     delta: dict[tuple[str, str], set[str]] = {}
-    for p in g.productions:
-        body, idx = p.body, p.variable_index
-        if not body:
-            final.add(p.head.name)
-            continue
-        if len(body) == 1:
-            sym, target = (LAMBDA, body[0].name) if idx == 0 else (body[0].name, sink)
-        else:
-            sym, target = body[1 - idx].name, body[idx].name
-        delta.setdefault((p.head.name, sym), set()).add(target)
-    return validate_automaton(left=left, right=right,
-                              alphabet={t.name for t in g.terminals},
-                              delta=delta, initial={g.start.name}, final=final)
+    for v, rules in g._rules.items():
+        for x, u, y in rules:
+            if u is None and not x:
+                final.add(v)
+            else:
+                # a unit body's empty flanks are the lambda symbol
+                sym, target = (x, sink) if u is None else (x + y or LAMBDA, u)
+                delta.setdefault((v, sym), set()).add(target)
+    return validate_automaton(left=left, right=right, alphabet=g._terminals,
+                              delta=delta, initial={g._start}, final=final)
 
 
 def grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
@@ -62,27 +58,21 @@ def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     """Grammar generating exactly the automaton's language.
 
     One variable per state and one production per move, as read by
-    ``_move_rules``; each distinct rule's body tuple is built once.
-    Several start states are merged by copying their productions onto a
-    fresh start variable.
+    ``_move_rules``.  Several start states are merged by copying their
+    productions onto a fresh start variable.
     """
     names = NamePool(m.alphabet)
-    var_of = {q: variable(names.fresh(q)) for q in sorted(m.states)}
-    terminals = frozenset(map(terminal, m.alphabet))
-    flank = {s.name: (s,) for s in terminals} | {LAMBDA: ()}  # a rule's flanks
-    rules = _move_rules(m)
-    body_of = {(left, t, right): () if t is None else (*flank[left], var_of[t], *flank[right])
-               for left, t, right in set().union(*rules.values())}
-    prods = [Production(var_of[q], body_of[rule]) for q, rs in rules.items() for rule in rs]
+    var_of = {q: names.fresh(q) for q in sorted(m.states)}
+    rules = {var_of[q]: [(x, None if t is None else var_of[t], y) for x, t, y in rs]
+             for q, rs in _move_rules(m).items()}
     variables = set(var_of.values())
     if len(m.initial) == 1:
         start = var_of[next(iter(m.initial))]
     else:
-        start = variable(names.fresh("S"))
+        start = names.fresh("S")
         variables.add(start)
-        initial_vars = {var_of[q] for q in m.initial}
-        prods += [Production(start, p.body) for p in prods if p.head in initial_vars]
-    return LinearGrammar(frozenset(variables), terminals, start, frozenset(prods))
+        rules[start] = [r for q in m.initial for r in rules.get(var_of[q], ())]
+    return _grammar(variables, m.alphabet, start, rules)
 
 
 def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
@@ -90,11 +80,12 @@ def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
     if not is_deterministic_linear(g):
         raise NotDeterministicLinear("grammar fails the deterministic-linear condition")
     gh = to_slnf(g)
-    for p in gh.productions:
-        # The determinism-preserving pipeline cannot emit unit or bare-terminal
-        # bodies from a deterministic grammar; guard rather than assume.
-        assert not p.body or (len(p.body) == 2 and _slnf_body_ok(p.body)), \
-            f"unexpected body shape: {p}"
+    for v, rules in gh._rules.items():
+        for x, u, y in rules:
+            # The determinism-preserving pipeline cannot emit unit or bare-
+            # terminal bodies from a deterministic grammar; guard, not assume.
+            assert (x, u, y) == ("", None, "") or u is not None and len(x + y) == 1, \
+                f"unexpected body shape: {_line(v, _body((x, u, y)))}"
     m = _slnf_to_nla(gh, None)
     assert all(len(ts) == 1 for ts in m.delta.values())
     return m
@@ -115,15 +106,9 @@ def even_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     if not is_even(m):
         raise NotEven("automaton has a transition inside one state class")
     mid = nla_to_grammar(m)
-    prods: set[Production] = set()
-    for p in mid.productions:
-        body = p.body
-        if not body:
-            prods.add(p)
-        elif p.variable_index == 1:
-            for x in mid.productions_of(body[1]):
-                prods.add(Production(p.head, (body[0],) + x.body))
-        else:
-            for x in mid.productions_of(body[0]):
-                prods.add(Production(p.head, x.body + (body[1],)))
-    return LinearGrammar(mid.variables, mid.terminals, mid.start, frozenset(prods))
+    rules = {v: [(x, u, y) for x, u, y in rs if u is None] for v, rs in mid._rules.items()}
+    for v, rs in mid._rules.items():
+        # each read x u y with each body x2 u2 y2 of u put in u's place
+        rules[v] += [(x + x2 + y, None, "") if u2 is None else (x + x2, u2, y2 + y)
+                     for x, u, y in rs if u is not None for x2, u2, y2 in mid._rules.get(u, ())]
+    return _grammar(mid._variables, mid._terminals, mid._start, rules)

@@ -1,20 +1,21 @@
 """Linear grammars: validation, classification, normal forms, enumeration.
 
 A grammar is linear when every production body holds at most one variable.
-All objects here are immutable values; every operation is a pure function,
-so concurrent use needs no synchronization.  A grammar caches its normal
-forms on first use; two threads racing to fill the cache build equal
-values, and either may be kept.
+Terminals are single characters, so a grammar holds each body x·B·y as a
+rule over names; its symbols and productions are views.  All objects here
+are immutable values; every operation is a pure function, so concurrent use
+needs no synchronization.  A grammar caches its normal forms on first use;
+two threads racing to fill the cache build equal values, and either may be
+kept.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +26,7 @@ from .errors import (
     StartNotDeclared,
     UnknownSymbol,
 )
-from .naming import NamePool, check_name, names_ok
+from .naming import EPS, NamePool, check_name, names_ok
 
 
 class SymbolKind(enum.Enum):
@@ -37,6 +38,10 @@ class SymbolKind(enum.Enum):
 _TERMINAL, _VARIABLE = SymbolKind.TERMINAL, SymbolKind.VARIABLE
 _set = object.__setattr__
 _kind, _name, _head = attrgetter("kind"), attrgetter("name"), attrgetter("head")
+
+#: A body as (left flank, variable name or None, right flank): a terminal-only
+#: body is (x, None, ""), the erasing body ("", None, ""), a unit body ("", B, "").
+Rule = tuple[str, "str | None", str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,36 +72,29 @@ def variable(name: str) -> Symbol:
     return Symbol(name, _VARIABLE)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def _line(head: str, names: Iterable[str]) -> str:  # a line of the grammar format
+    return f"{head} -> {' '.join(map(str, names)) or EPS}"
+
+
+@dataclass(frozen=True, slots=True)
 class Production:
     """One rewrite rule; an empty body is the erasing production."""
 
     head: Symbol
     body: tuple[Symbol, ...]
     #: Position of the body's variable, or None for terminal-only bodies.
-    variable_index: int | None = field(repr=False, compare=False)
-    # The names joined by spaces, which sort below every name character, so
-    # it sorts as ``sort_key`` does; str keeps its hash once computed.
-    _key: str = field(repr=False, compare=False)
+    variable_index: int | None = field(init=False, repr=False, compare=False)
 
-    def __init__(self, head: Symbol, body: Iterable[Symbol]):
-        body = tuple(body)
-        _set(self, "head", head)
-        _set(self, "body", body)
-        # the key comes first: the errors below print the production
-        key = " ".join(map(str, (head.name, *map(_name, body))))
-        hash(key)
-        _set(self, "_key", key)
-        if head.kind is not _VARIABLE:
-            raise UnknownSymbol(f"production head {head.name!r} is not a variable",
+    def __post_init__(self):
+        # the body comes first: the errors below print the production
+        _set(self, "body", tuple(self.body))
+        if self.head.kind is not _VARIABLE:
+            raise UnknownSymbol(f"production head {self.head.name!r} is not a variable",
                                 subject=self)
-        kinds = list(map(_kind, body))
+        kinds = list(map(_kind, self.body))
         if (count := kinds.count(_VARIABLE)) > 1:
             raise NotLinear(f"body of {self} holds more than one variable", subject=self)
         _set(self, "variable_index", kinds.index(_VARIABLE) if count else None)
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def __reduce__(self):
         return Production, (self.head, self.body)
@@ -105,8 +103,17 @@ class Production:
         return (self.head.name, tuple(map(_name, self.body)))
 
     def __str__(self) -> str:
-        # the key is the line with the arrow left out
-        return self._key.replace(" ", " -> ", 1) if self.body else f"{self._key} -> eps"
+        return _line(self.head.name, map(_name, self.body))
+
+
+def _body(rule: Rule) -> tuple[str, ...]:  # the tuple of names
+    x, u, y = rule
+    return (*x,) if u is None else (*x, u, *y)
+
+
+def _body_symbols(rule: Rule) -> tuple[Symbol, ...]:
+    x, u, y = rule
+    return (*map(terminal, x), *(() if u is None else (variable(u), *map(terminal, y))))
 
 
 class VariableClass(enum.Enum):
@@ -116,58 +123,70 @@ class VariableClass(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearGrammar:
-    variables: frozenset[Symbol]
-    terminals: frozenset[Symbol]
-    start: Symbol
-    productions: frozenset[Production]
+    """Rules over names, heads in name order and each head's bodies in the
+    order of their tuples of names.  ``variables``, ``terminals`` and
+    ``start`` are views cached on first use; the production views are built
+    on every call."""
 
-    def __post_init__(self):
-        for name in ("variables", "terminals", "productions"):
-            _set(self, name, frozenset(getattr(self, name)))
-        pools = ((_VARIABLE, self.variables), (_TERMINAL, self.terminals))
-        if not all(names_ok([s.name for s in pool], single=kind is _TERMINAL)
-                   and set(map(_kind, pool)) <= {kind} for kind, pool in pools):
-            # Names are visited in sorted order, so of several faults the
-            # same one is always reported.
-            for kind, pool in pools:
-                for s in sorted(pool, key=_name):
-                    check_name(s.name, kind.value, single=kind is _TERMINAL)
-                    if s.kind is not kind:
-                        raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
-                                            f"with kind {s.kind.value}", subject=s.name)
-        if clash := {s.name for s in self.variables} & {s.name for s in self.terminals}:
+    _variables: frozenset[str]
+    _terminals: frozenset[str]
+    _start: str
+    #: Unhashable, so the grammar's hash leaves it out.
+    _rules: Mapping[str, tuple[Rule, ...]] = field(hash=False)
+
+    def __init__(self, variables: Iterable[Symbol], terminals: Iterable[Symbol],
+                 start: Symbol, productions: Iterable[Production]):
+        variables, terminals, productions = map(frozenset, (variables, terminals, productions))
+        # Names are visited in sorted order, so of several faults the same
+        # one is always reported.
+        for kind, pool in ((_VARIABLE, variables), (_TERMINAL, terminals)):
+            for s in sorted(pool, key=_name):
+                check_name(s.name, kind.value, single=kind is _TERMINAL)
+                if s.kind is not kind:
+                    raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
+                                        f"with kind {s.kind.value}", subject=s.name)
+        names = frozenset(map(_name, variables)), frozenset(map(_name, terminals))
+        if clash := names[0] & names[1]:
             name = min(clash)
             raise DuplicateSymbol(f"{name!r} declared as both terminal and variable",
                                   subject=name)
-        if self.start not in self.variables:
-            raise StartNotDeclared(f"start {self.start.name!r} is not a declared variable",
-                                   subject=self.start.name)
-        used = set(map(_head, self.productions)).union(*(p.body for p in self.productions))
-        if bad := used - self.variables - self.terminals:
+        if start not in variables:
+            raise StartNotDeclared(f"start {start.name!r} is not a declared variable",
+                                   subject=start.name)
+        used = set(map(_head, productions)).union(*(p.body for p in productions))
+        if bad := used - variables - terminals:
             name = min(s.name for s in bad)
             raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
-        # One sort, grouped by head: every per-variable pass reads this index.
-        ordered = tuple(sorted(self.productions, key=attrgetter("_key")))
-        _set(self, "_sorted", ordered)
-        _set(self, "_by_head", {v: tuple(ps) for v, ps in groupby(ordered, _head)})
+        rules = defaultdict(list)
+        for p in productions:
+            i, body = p.variable_index, [s.name for s in p.body]
+            rules[p.head.name].append(("".join(body), None, "") if i is None else
+                                      ("".join(body[:i]), body[i], "".join(body[i + 1:])))
+        # the private build's checks pass again; its fields become this one's
+        self.__dict__.update(vars(_grammar(*names, start.name, rules)))
+
+    # one symbol per name, shared by every view
+    _symbol = cached_property(lambda self: {**{t: terminal(t) for t in self._terminals},
+                                            **{v: variable(v) for v in self._variables}})
+    variables = cached_property(lambda self: frozenset(map(self._symbol.get, self._variables)))
+    terminals = cached_property(lambda self: frozenset(map(self._symbol.get, self._terminals)))
+    start = cached_property(lambda self: self._symbol[self._start])
+    productions = property(lambda self: frozenset(self.sorted_productions()))
 
     # Normal forms, built on first use, so each grammar folds them once.
     _lnf = cached_property(lambda self: _build_lnf(self))
     _slnf = cached_property(lambda self: _build_slnf(self._lnf))
 
     @cached_property
-    def _classes(self) -> dict[Symbol, VariableClass]:
+    def _classes(self) -> dict[str, VariableClass]:
         # every head's class, read from its bodies once; a variable that
         # heads nothing is BOTH
         classes = {}
-        for v, ps in self._by_head.items():
-            right = left = True
-            for p in ps:
-                if (i := p.variable_index) is not None:
-                    right = right and i == len(p.body) - 1
-                    left = left and i == 0
+        for v, rules in self._rules.items():
+            right = all(not y for _, u, y in rules if u is not None)
+            left = all(not x for x, u, _ in rules if u is not None)
             classes[v] = ((VariableClass.BOTH if left else VariableClass.RIGHT_LINEAR) if right
                           else VariableClass.LEFT_LINEAR if left else VariableClass.NEITHER)
         return classes
@@ -175,22 +194,48 @@ class LinearGrammar:
     # -- conveniences used throughout the package --
 
     def variable_named(self, name: str) -> Symbol:
-        if (v := variable(name)) in self.variables:
-            return v
+        if name in self._variables:
+            return self._symbol[name]
         raise UnknownSymbol(f"no variable named {name!r}")
 
     def productions_of(self, head: Symbol) -> tuple[Production, ...]:
-        return self._by_head.get(head, ())
+        rules = self._rules.get(head.name, ()) if head.kind is _VARIABLE else ()
+        return tuple(Production(head, tuple(map(self._symbol.get, _body(r)))) for r in rules)
 
     def sorted_productions(self) -> tuple[Production, ...]:
-        return self._sorted
+        return tuple(p for v in self._rules for p in self.productions_of(self._symbol[v]))
 
     def sorted_variables(self) -> tuple[Symbol, ...]:
-        rest = sorted((s for s in self.variables if s != self.start), key=lambda s: s.name)
-        return (self.start, *rest)
+        rest = sorted(self._variables - {self._start})
+        return tuple(map(self._symbol.get, (self._start, *rest)))
 
     def symbol_names(self) -> set[str]:
-        return {s.name for s in self.variables} | {s.name for s in self.terminals}
+        return {*self._variables, *self._terminals}
+
+
+def _grammar(variables: Iterable[str], terminals: Iterable[str], start: str,
+             rules: Mapping[str, Iterable[Rule]]) -> LinearGrammar:
+    """A grammar from names that come from a checked grammar or a NamePool.
+
+    It makes the constructor's name-level checks, so no pass can build a
+    grammar the constructor would reject: valid names, none of both kinds, a
+    declared start, every name a rule uses declared as its kind; on a fault
+    the constructor reports it.  Duplicate rules go; heads and bodies sort.
+    """
+    variables, terminals = frozenset(variables), frozenset(terminals)
+    used = {*rules, *(u for rs in rules.values() for _, u, _ in rs if u is not None)}
+    chars = set("".join(x + y for rs in rules.values() for x, _, y in rs))
+    if not (names_ok(variables) and names_ok(terminals, single=True)
+            and variables.isdisjoint(terminals) and start in variables
+            and used <= variables and chars <= terminals):
+        LinearGrammar(map(variable, variables), map(terminal, terminals), variable(start),
+                      [Production(variable(v), _body_symbols(r)) for v, rs in rules.items()
+                       for r in rs])
+    g = object.__new__(LinearGrammar)
+    g.__dict__.update(_variables=variables, _terminals=terminals, _start=start,
+                      _rules={v: tuple(sorted(set(rs), key=_body))
+                              for v, rs in sorted(rules.items()) if rs})
+    return g
 
 
 def validate_grammar(*, variables: Iterable[str], terminals: Iterable[str],
@@ -226,7 +271,7 @@ def classify_variable(g: LinearGrammar, v: Symbol | str) -> VariableClass:
         v = g.variable_named(v)
     if v not in g.variables:
         raise UnknownSymbol(f"no variable named {v.name!r}")
-    return g._classes.get(v, VariableClass.BOTH)
+    return g._classes.get(v.name, VariableClass.BOTH)
 
 
 def is_lnf(g: LinearGrammar) -> bool:
@@ -248,42 +293,40 @@ def to_lnf(g: LinearGrammar) -> LinearGrammar:
 def _build_lnf(g: LinearGrammar) -> LinearGrammar:
     # After the split a head is mixed when it keeps a variable-first body
     # and has a body whose variable is not first (split ones included).
-    mixed = dict.fromkeys(v for v, ps in g._by_head.items()
-                          if any(p.variable_index == 0 and len(p.body) > 1 for p in ps)
-                          and any(p.variable_index for p in ps))
+    mixed = dict.fromkeys(v for v, rules in g._rules.items()
+                          if any(u is not None and not x and y for x, u, y in rules)
+                          and any(u is not None and x for x, u, _ in rules))
     names = NamePool(g.symbol_names())
-    variables = set(g.variables)
-    prods: list[Production] = []
-    moved: list[Production] = []
-    for p in g.sorted_productions():
-        idx = p.variable_index
-        if idx is not None and 0 < idx < len(p.body) - 1:
-            c = variable(names.fresh(p.head.name))
-            variables.add(c)
-            prods.append(Production(p.head, p.body[:idx] + (c,)))
-            prods.append(Production(c, p.body[idx:]))
-        elif idx == 0 and len(p.body) > 1 and p.head in mixed:
-            moved.append(p)
-        else:
-            prods.append(p)
-    if len(variables) == len(g.variables) and not mixed:
+    variables = set(g._variables)
+    out: dict[str, list[Rule]] = defaultdict(list)
+    moved: list[tuple[str, Rule]] = []
+    for v, rules in g._rules.items():
+        for x, u, y in rules:
+            if u is not None and x and y:
+                c = names.fresh(v)
+                variables.add(c)
+                out[v].append((x, c, ""))
+                out[c].append(("", u, y))
+            elif u is not None and not x and y and v in mixed:
+                moved.append((v, (x, u, y)))
+            else:
+                out[v].append((x, u, y))
+    if len(variables) == len(g._variables) and not mixed:
         return g
     # Funnels are named after every split variable, in name order.
-    funnels = {v: variable(names.fresh(v.name)) for v in mixed}
+    funnels = {v: names.fresh(v) for v in mixed}
     variables.update(funnels.values())
-    prods += [Production(v, (f,)) for v, f in funnels.items()]
-    prods += [Production(funnels[p.head], p.body) for p in moved]
-    return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
-
-
-def _slnf_body_ok(body: tuple[Symbol, ...]) -> bool:
-    # at most two symbols, and two only when one is a terminal, one a variable
-    return len(body) < 2 or len(body) == 2 and body[0].kind is not body[1].kind
+    for v, f in funnels.items():
+        out[v].append(("", f, ""))
+    for v, rule in moved:
+        out[funnels[v]].append(rule)
+    return _grammar(variables, g._terminals, g._start, out)
 
 
 def is_slnf(g: LinearGrammar) -> bool:
     """True for LNF grammars whose bodies are all aB, Ba, a, B, or empty."""
-    return is_lnf(g) and all(_slnf_body_ok(p.body) for p in g.productions)
+    return is_lnf(g) and all(len(x) + len(y) < 2
+                             for rules in g._rules.values() for x, _, y in rules)
 
 
 def to_slnf(g: LinearGrammar) -> LinearGrammar:
@@ -298,23 +341,23 @@ def to_slnf(g: LinearGrammar) -> LinearGrammar:
 
 def _build_slnf(lnf: LinearGrammar) -> LinearGrammar:
     names = NamePool(lnf.symbol_names())
-    variables = set(lnf.variables)
-    prods: list[Production] = []
-    for v, ps in lnf._by_head.items():
+    variables = set(lnf._variables)
+    out: dict[str, list[Rule]] = defaultdict(list)
+    for v, rules in lnf._rules.items():
         left_linear = lnf._classes.get(v) is VariableClass.LEFT_LINEAR
-        for p in ps:
-            head, body = v, p.body
-            from_right = left_linear if p.variable_index is None else p.variable_index == 0
-            while len(body) > 1 and not _slnf_body_ok(body):
-                nv = variable(names.fresh(v.name))
+        for x, u, y in rules:
+            head = v
+            # one flank is empty (LNF); the other peels at its far end
+            from_right = left_linear if u is None else not x
+            while len(x) + len(y) > 1:
+                nv = names.fresh(v)
                 variables.add(nv)
-                pair = (nv, body[-1]) if from_right else (body[0], nv)
-                prods.append(Production(head, pair))
-                head, body = nv, body[:-1] if from_right else body[1:]
-            prods.append(p if head is v else Production(head, body))
-    if len(variables) == len(lnf.variables):
+                out[head].append(("", nv, (x or y)[-1]) if from_right else (x[0], nv, ""))
+                head, x, y = nv, x[:-1] if from_right else x[1:], y[:-1]
+            out[head].append((x, u, y))
+    if len(variables) == len(lnf._variables):
         return lnf
-    return LinearGrammar(frozenset(variables), lnf.terminals, lnf.start, frozenset(prods))
+    return _grammar(variables, lnf._terminals, lnf._start, out)
 
 
 def is_deterministic_linear(g: LinearGrammar) -> bool:
@@ -328,32 +371,20 @@ def is_deterministic_linear(g: LinearGrammar) -> bool:
     reads at both ends would face ambiguous choices, and could not become a
     single automaton state.
     """
-    seen: set[tuple[str, str]] = set()
-    direction: dict[str, str] = {}
-    for p in g.productions:
-        body = p.body
-        if not body:
-            continue
-        idx = p.variable_index
-        if idx is None or len(body) < 2:
+    for rules in g._rules.values():
+        reads = [r for r in rules if r != ("", None, "")]
+        if any(u is None or not (x or y) for x, u, y in reads):
             return False
-        side = "first" if body[0].kind is _TERMINAL else "last"
-        if direction.setdefault(p.head.name, side) != side:
+        keys = {(not x, x[0] if x else y[-1]) for x, _, y in reads}
+        if len(keys) < len(reads) or len({side for side, _ in keys}) > 1:
             return False
-        key = (p.head.name, body[0].name if side == "first" else body[-1].name)
-        if key in seen:
-            return False
-        seen.add(key)
     return True
 
 
 def is_even_linear(g: LinearGrammar) -> bool:
     """True when every variable-holding body has equal-length terminal flanks."""
-    for p in g.productions:
-        idx = p.variable_index
-        if idx is not None and idx != len(p.body) - 1 - idx:
-            return False
-    return True
+    return all(len(x) == len(y)
+               for rules in g._rules.values() for x, u, y in rules if u is not None)
 
 
 def _closure(start, successors) -> set:
@@ -370,18 +401,12 @@ def _closure(start, successors) -> set:
 
 def eliminate_unit_productions(g: LinearGrammar) -> LinearGrammar:
     """Replace unit productions by copies of their targets' other bodies."""
-    unit_targets: dict[Symbol, set[Symbol]] = {v: set() for v in g.variables}
-    for p in g.productions:
-        if len(p.body) == 1 and p.body[0].kind is _VARIABLE:
-            unit_targets[p.head].add(p.body[0])
-    prods = set()
-    for v in g.variables:
-        for u in _closure(v, unit_targets.__getitem__):
-            for p in g.productions_of(u):
-                if len(p.body) == 1 and p.body[0].kind is _VARIABLE:
-                    continue
-                prods.add(Production(v, p.body))
-    return LinearGrammar(g.variables, g.terminals, g.start, frozenset(prods))
+    units = {v: [u for x, u, y in rules if u is not None and not x + y]
+             for v, rules in g._rules.items()}
+    out = {v: [(x, u, y) for t in _closure(v, lambda t: units.get(t, ()))
+               for x, u, y in g._rules.get(t, ()) if u is None or x + y]
+           for v in g._variables}
+    return _grammar(g._variables, g._terminals, g._start, out)
 
 
 def to_even_normal_form(g: LinearGrammar) -> LinearGrammar:
@@ -390,21 +415,23 @@ def to_even_normal_form(g: LinearGrammar) -> LinearGrammar:
         raise NotEvenLinear("grammar has a body with unequal terminal flanks")
     g = eliminate_unit_productions(g)
     names = NamePool(g.symbol_names())
-    variables = set(g.variables)
-    prods: list[Production] = []
-    for p in g.sorted_productions():
-        head, body = p.head, p.body
-        # a variable sits mid-body: stop at aBb (no unit bodies remain), else at <= 1
-        while len(body) > (1 if p.variable_index is None else 3):
-            nv = variable(names.fresh(p.head.name))
-            variables.add(nv)
-            prods.append(Production(head, (body[0], nv, body[-1])))
-            head, body = nv, body[1:-1]
-        prods.append(p if head is p.head else Production(head, body))
-    return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
+    variables = set(g._variables)
+    out: dict[str, list[Rule]] = defaultdict(list)
+    for v, rules in g._rules.items():
+        for x, u, y in rules:
+            head = v
+            # stop at aBb (no unit bodies remain), or at one terminal or none
+            while len(x) > 1:
+                nv = names.fresh(v)
+                variables.add(nv)
+                # a terminal-only body peels both ends of its one flank
+                out[head].append((x[0], nv, (y or x)[-1]))
+                head, x, y = nv, x[1:-1] if u is None else x[1:], y[:-1]
+            out[head].append((x, u, y))
+    return _grammar(variables, g._terminals, g._start, out)
 
 
-def _enumerate_words(rules: Mapping[str, Sequence[tuple[str, str | None, str]]],
+def _enumerate_words(rules: Mapping[str, Sequence[Rule]],
                      starts: Iterable[str], max_len: int) -> list[str]:
     """All terminal strings of at most ``max_len`` symbols derivable from ``starts``.
 
@@ -488,21 +515,6 @@ def _enumerate_words(rules: Mapping[str, Sequence[tuple[str, str | None, str]]],
     return out
 
 
-def _production_rules(g: LinearGrammar) -> dict[str, list[tuple[str, str | None, str]]]:
-    """Each production as (left flank, variable name or None, right flank), by head name.
-
-    Slices are keyed by names, which hash faster than symbols.
-    """
-    rules: dict[str, list[tuple[str, str | None, str]]] = {}
-    for p in g.sorted_productions():
-        idx = p.variable_index
-        names = [s.name for s in p.body]
-        rules.setdefault(p.head.name, []).append(
-            ("".join(names), None, "") if idx is None else
-            ("".join(names[:idx]), names[idx], "".join(names[idx + 1:])))
-    return rules
-
-
 def enumerate_language(g: LinearGrammar, max_len: int) -> list[str]:
     """All derivable terminal strings of at most ``max_len`` symbols, shortest first."""
-    return _enumerate_words(_production_rules(g), [g.start.name], max_len)
+    return _enumerate_words(g._rules, [g._start], max_len)

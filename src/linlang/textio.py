@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .automaton import LAMBDA, LinearAutomaton, validate_automaton
 from .errors import LinlangError, NotLinear, ParseError, StartNotDeclared
-from .grammar import LinearGrammar, Production, SymbolKind, validate_grammar
+from .grammar import LinearGrammar, Production, SymbolKind, _body, _line, validate_grammar
 from .naming import EPS
 
 
@@ -136,10 +136,10 @@ def _grammar_span(text: str, lines, exc: LinlangError) -> SourceSpan | None:
 
 def serialize_grammar(g: LinearGrammar) -> str:
     """Canonical text: fixed section order, sorted symbols and productions."""
-    out = ["grammar", f"start {g.start.name}"]
-    out.append(" ".join(["terminals"] + sorted(t.name for t in g.terminals)).rstrip())
-    out.append(" ".join(["variables"] + [v.name for v in g.sorted_variables()]))
-    out += map(str, g.sorted_productions())
+    out = ["grammar", f"start {g._start}"]
+    out.append(" ".join(["terminals", *sorted(g._terminals)]).rstrip())
+    out.append(" ".join(["variables", g._start, *sorted(g._variables - {g._start})]))
+    out += (_line(v, _body(r)) for v, rules in g._rules.items() for r in rules)
     return "\n".join(out) + "\n"
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
+from operator import attrgetter
 from pathlib import Path
 
 from linlang import (
@@ -16,16 +18,18 @@ from linlang import (
     Symbol,
     SymbolKind,
     VariableClass,
+    is_even,
     is_even_linear,
     step,
+    terminal,
     to_even_normal_form,
     validate_automaton,
     validate_grammar,
     variable,
 )
-from linlang.automaton import LAMBDA
+from linlang.automaton import LAMBDA, _move_rules
 from linlang.convert import _slnf_to_nla
-from linlang.errors import NotDeterminizable, NotEvenLinear, UnknownSymbol
+from linlang.errors import NotDeterminizable, NotEven, NotEvenLinear, UnknownSymbol
 from linlang.naming import NamePool, check_name
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "linlang" / "corpus" / "data"
@@ -314,13 +318,7 @@ def reference_determinize(m: LinearAutomaton) -> LinearAutomaton:
 
 def reference_classify_variable(g: LinearGrammar, v: Symbol) -> VariableClass:
     """One variable's class, recomputed from its own bodies on every call."""
-    ends = {(p.variable_index, len(p.body) - 1) for p in g.productions_of(v)
-            if p.variable_index is not None}
-    right = all(i == last for i, last in ends)
-    left = all(i == 0 for i, _ in ends)
-    if right:
-        return VariableClass.BOTH if left else VariableClass.RIGHT_LINEAR
-    return VariableClass.LEFT_LINEAR if left else VariableClass.NEITHER
+    return _class(g.productions_of(v))
 
 
 def _error(run) -> tuple | None:
@@ -353,3 +351,192 @@ def reference_automaton_name_error(states, alphabet) -> tuple | None:
         for a in sorted(alphabet):
             check_name(a, "alphabet symbol", single=True)
     return _error(run)
+
+
+# --- object-level references for the rule-level grammar passes ---
+#
+# Each builds Symbol and Production objects and a grammar through the public
+# constructor, as the library did before it held grammars as rules; fresh
+# names come from the same NamePool calls in the same order.
+
+
+def random_compile_grammar(rng: random.Random, even: bool = False,
+                           max_vars: int = 60) -> LinearGrammar:
+    """A grammar shaped like perfbench's compile family: V log-uniform in
+    [5, ``max_vars``], P = 10·V draws, 4 terminals, bodies of at most 6
+    symbols, and variables ``S``, ``V1``, ``V2``, ... so that fresh names
+    such as ``V1_1`` sit next to declared ones such as ``V11``.
+
+    Each draw is a body of ``randint(0, 6)`` terminals; with probability
+    0.8 a non-empty one gets a variable; ``even`` keeps instead 0 to 2
+    terminals from each end of the body as the variable's flanks.
+    """
+    n = round(math.exp(rng.uniform(math.log(5), math.log(max_vars))))
+    variables = ["S"] + [f"V{i}" for i in range(1, n)]
+    terminals = ["a", "b", "c", "d"]
+    productions = []
+    for _ in range(10 * n):
+        body = [rng.choice(terminals) for _ in range(rng.randint(0, 6))]
+        if body and rng.random() < 0.8:
+            if even:
+                k = rng.randint(0, min(2, len(body) // 2))
+                body = body[:k] + [rng.choice(variables)] + body[len(body) - k:]
+            else:
+                body[rng.randrange(len(body))] = rng.choice(variables)
+        productions.append((rng.choice(variables), body))
+    return validate_grammar(variables=variables, terminals=terminals,
+                            start="S", productions=productions)
+
+
+def _by_head(g: LinearGrammar) -> dict:
+    """The production view read once: head -> its productions in sorted order."""
+    groups = itertools.groupby(g.sorted_productions(), attrgetter("head"))
+    return {v: tuple(ps) for v, ps in groups}
+
+
+def _class(ps) -> VariableClass:
+    ends = {(p.variable_index, len(p.body) - 1) for p in ps if p.variable_index is not None}
+    right = all(i == last for i, last in ends)
+    left = all(i == 0 for i, _ in ends)
+    if right:
+        return VariableClass.BOTH if left else VariableClass.RIGHT_LINEAR
+    return VariableClass.LEFT_LINEAR if left else VariableClass.NEITHER
+
+
+def reference_production_rules(g: LinearGrammar) -> dict[str, list[tuple[str, str | None, str]]]:
+    """Each production as (left flank, variable name or None, right flank), by head name."""
+    rules: dict[str, list[tuple[str, str | None, str]]] = {}
+    for p in g.sorted_productions():
+        idx = p.variable_index
+        names = [s.name for s in p.body]
+        rules.setdefault(p.head.name, []).append(
+            ("".join(names), None, "") if idx is None else
+            ("".join(names[:idx]), names[idx], "".join(names[idx + 1:])))
+    return rules
+
+
+def reference_lnf(g: LinearGrammar) -> LinearGrammar:
+    mixed = dict.fromkeys(v for v, ps in _by_head(g).items()
+                          if any(p.variable_index == 0 and len(p.body) > 1 for p in ps)
+                          and any(p.variable_index for p in ps))
+    names = NamePool(g.symbol_names())
+    variables = set(g.variables)
+    prods: list[Production] = []
+    moved: list[Production] = []
+    for p in g.sorted_productions():
+        idx = p.variable_index
+        if idx is not None and 0 < idx < len(p.body) - 1:
+            c = variable(names.fresh(p.head.name))
+            variables.add(c)
+            prods.append(Production(p.head, p.body[:idx] + (c,)))
+            prods.append(Production(c, p.body[idx:]))
+        elif idx == 0 and len(p.body) > 1 and p.head in mixed:
+            moved.append(p)
+        else:
+            prods.append(p)
+    if len(variables) == len(g.variables) and not mixed:
+        return g
+    funnels = {v: variable(names.fresh(v.name)) for v in mixed}
+    variables.update(funnels.values())
+    prods += [Production(v, (f,)) for v, f in funnels.items()]
+    prods += [Production(funnels[p.head], p.body) for p in moved]
+    return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
+
+
+def _slnf_body_ok(body) -> bool:
+    return len(body) < 2 or len(body) == 2 and body[0].kind is not body[1].kind
+
+
+def reference_slnf(lnf: LinearGrammar) -> LinearGrammar:
+    """The strong normal form of a grammar already in LNF."""
+    names = NamePool(lnf.symbol_names())
+    variables = set(lnf.variables)
+    prods: list[Production] = []
+    for v, ps in _by_head(lnf).items():
+        left_linear = _class(ps) is VariableClass.LEFT_LINEAR
+        for p in ps:
+            head, body = v, p.body
+            from_right = left_linear if p.variable_index is None else p.variable_index == 0
+            while len(body) > 1 and not _slnf_body_ok(body):
+                nv = variable(names.fresh(v.name))
+                variables.add(nv)
+                pair = (nv, body[-1]) if from_right else (body[0], nv)
+                prods.append(Production(head, pair))
+                head, body = nv, body[:-1] if from_right else body[1:]
+            prods.append(p if head is v else Production(head, body))
+    if len(variables) == len(lnf.variables):
+        return lnf
+    return LinearGrammar(frozenset(variables), lnf.terminals, lnf.start, frozenset(prods))
+
+
+def reference_eliminate_unit_productions(g: LinearGrammar) -> LinearGrammar:
+    def unit(p):
+        return len(p.body) == 1 and p.body[0].kind is SymbolKind.VARIABLE
+
+    by_head = _by_head(g)
+    targets = {v: {p.body[0] for p in by_head.get(v, ()) if unit(p)} for v in g.variables}
+    prods = set()
+    for v in g.variables:
+        seen, todo = {v}, [v]
+        while todo:
+            for t in targets[todo.pop()] - seen:
+                seen.add(t)
+                todo.append(t)
+        prods.update(Production(v, p.body) for u in seen for p in by_head.get(u, ())
+                     if not unit(p))
+    return LinearGrammar(g.variables, g.terminals, g.start, frozenset(prods))
+
+
+def reference_even_normal_form(g: LinearGrammar) -> LinearGrammar:
+    if not is_even_linear(g):
+        raise NotEvenLinear("grammar has a body with unequal terminal flanks")
+    g = reference_eliminate_unit_productions(g)
+    names = NamePool(g.symbol_names())
+    variables = set(g.variables)
+    prods: list[Production] = []
+    for p in g.sorted_productions():
+        head, body = p.head, p.body
+        while len(body) > (1 if p.variable_index is None else 3):
+            nv = variable(names.fresh(p.head.name))
+            variables.add(nv)
+            prods.append(Production(head, (body[0], nv, body[-1])))
+            head, body = nv, body[1:-1]
+        prods.append(p if head is p.head else Production(head, body))
+    return LinearGrammar(frozenset(variables), g.terminals, g.start, frozenset(prods))
+
+
+def reference_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
+    names = NamePool(m.alphabet)
+    var_of = {q: variable(names.fresh(q)) for q in sorted(m.states)}
+    flank = {a: (terminal(a),) for a in m.alphabet} | {LAMBDA: ()}
+    prods = [Production(var_of[q], () if t is None else (*flank[x], var_of[t], *flank[y]))
+             for q, rules in _move_rules(m).items() for x, t, y in rules]
+    variables = set(var_of.values())
+    if len(m.initial) == 1:
+        start = var_of[next(iter(m.initial))]
+    else:
+        start = variable(names.fresh("S"))
+        variables.add(start)
+        initial_vars = {var_of[q] for q in m.initial}
+        prods += [Production(start, p.body) for p in prods if p.head in initial_vars]
+    return LinearGrammar(frozenset(variables), frozenset(map(terminal, m.alphabet)),
+                         start, frozenset(prods))
+
+
+def reference_even_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
+    if not is_even(m):
+        raise NotEven("automaton has a transition inside one state class")
+    mid = reference_nla_to_grammar(m)
+    by_head = _by_head(mid)
+    prods: set[Production] = set()
+    for p in mid.productions:
+        body = p.body
+        if not body:
+            prods.add(p)
+        elif p.variable_index == 1:
+            prods.update(Production(p.head, (body[0],) + x.body)
+                         for x in by_head.get(body[1], ()))
+        else:
+            prods.update(Production(p.head, x.body + (body[1],))
+                         for x in by_head.get(body[0], ()))
+    return LinearGrammar(mid.variables, mid.terminals, mid.start, frozenset(prods))

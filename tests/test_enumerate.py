@@ -16,9 +16,10 @@ from linlang import (
 from linlang.automaton import LAMBDA, _move_rules
 from linlang.corpus import fixture_ids, load_fixture
 from linlang.errors import EmptyInitialSetWarning
-from linlang.grammar import _enumerate_words, _production_rules
+from linlang.grammar import _enumerate_words
 
-from helpers import g_prime, random_automaton, random_grammar, reference_enumerate_words
+from helpers import (g_prime, random_automaton, random_grammar, reference_enumerate_words,
+                     reference_production_rules)
 
 
 def grammar(text):
@@ -31,7 +32,7 @@ def automaton(left, right, delta, initial, final, alphabet=("a", "b")):
 
 
 def language_pair(g, max_len):
-    want = reference_enumerate_words(_production_rules(g), [g.start.name], max_len)
+    want = reference_enumerate_words(reference_production_rules(g), [g.start.name], max_len)
     return enumerate_language(g, max_len), want
 
 

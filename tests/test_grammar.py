@@ -91,6 +91,14 @@ class TestValidate:
             Production(a, (S, S))
         assert str(err.value.subject) == "a -> S S"
 
+    def test_production_line_keeps_a_head_name_with_a_space_whole(self):
+        S, B, a = grammar.variable("my head"), grammar.variable("B"), grammar.terminal("a")
+        assert str(Production(S, [a, B])) == "my head -> a B"
+        assert str(Production(S, [])) == "my head -> eps"
+        with pytest.raises(NotLinear) as err:
+            Production(S, (B, B))
+        assert str(err.value) == "body of my head -> B B holds more than one variable"
+
     def test_duplicate_symbol(self):
         with pytest.raises(DuplicateSymbol):
             validate_grammar(variables=["S", "a"], terminals=["a"], start="S",
