@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     ClassOverlap,
@@ -40,6 +40,20 @@ LAMBDA = ""
 class StateClass(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
+
+
+class _Table(NamedTuple):
+    """The moves with the states numbered once, in name order: each list is
+    indexed by state number, and targets are listed in name order."""
+
+    names: list[str]
+    left: list[bool]  # reads the left end
+    reads: list[dict[str, tuple[int, ...]]]  # symbol -> targets
+    moves: list[tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]]]  # (left, reads) to sweep
+    lam: list[tuple[int, ...]]  # lambda targets
+    back: dict[int, list[int]]  # the other states whose lambda closure holds this one
+    initial: list[int]
+    final: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -104,13 +118,22 @@ class LinearAutomaton:
         raise UnknownState(f"no state named {q!r}")
 
     @cached_property
-    def _reads(self) -> dict[str, tuple[bool, tuple[tuple[str, tuple[str, ...]], ...]]]:
-        # each state's reading moves, so a sweep visits only the moves it has
-        reads: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-        for (q, a), targets in self._cells.items():
-            if a != LAMBDA:
-                reads.setdefault(q, []).append((a, tuple(sorted(targets))))
-        return {q: (q in self.left_states, tuple(moves)) for q, moves in reads.items()}
+    def _table(self) -> _Table:
+        # built on first use, so each automaton numbers its states once
+        names = sorted(self.states)
+        at = {q: i for i, q in enumerate(names)}
+        reads: list[dict[str, tuple[int, ...]]] = [{} for _ in names]
+        for (q, a), ts in self._cells.items():
+            reads[at[q]][a] = tuple(sorted(map(at.__getitem__, ts)))
+        lam = [r.pop(LAMBDA, ()) for r in reads]
+        back: dict[int, list[int]] = {}
+        for q in (q for q, ts in enumerate(lam) if ts):
+            for t in _closure(q, lam.__getitem__) - {q}:
+                back.setdefault(t, []).append(q)
+        left = [q in self.left_states for q in names]
+        return _Table(names, left, reads, [(lft, tuple(r.items())) for lft, r in zip(left, reads)],
+                      lam, back, [at[q] for q in sorted(self.initial)],
+                      frozenset(map(at.__getitem__, self.final)))
 
     def targets(self, q: str, a: str) -> frozenset[str]:
         # the plain dict: a lookup through the read-only view costs more
@@ -146,11 +169,14 @@ class InstantaneousDescription(NamedTuple):
         return word[self.lo:self.hi]
 
 
-def _symbol_masks(m: LinearAutomaton, word: str) -> dict[str, int]:
-    """Bit i of ``masks[a]`` is set when ``word[i] == a``, for each symbol of m."""
+def _check_word(m: LinearAutomaton, word: str) -> None:
     if not m.alphabet.issuperset(word):
         bad = next(ch for ch in word if ch not in m.alphabet)
         raise SymbolNotInAlphabet(f"symbol {bad!r} is not in the alphabet")
+
+
+def _symbol_masks(m: LinearAutomaton, word: str) -> dict[str, int]:
+    """Bit i of ``masks[a]`` is set when ``word[i] == a``, for each symbol of m."""
     masks = dict.fromkeys(m.alphabet, 0)
     rev, present = word[::-1], set(word)
     zeros = dict.fromkeys(map(ord, present), "0")
@@ -177,132 +203,185 @@ def step(m: LinearAutomaton, ident: InstantaneousDescription, word: str,
     return out
 
 
+def _forced(t: _Table, word: str, path: list[tuple[str, int, int]] | None,
+            ) -> tuple[list[int], int, int] | None:
+    """Step a lone start configuration while its next move is forced.
+
+    Appends each (state, lo, hi) stepped from to ``path`` unless it is None.
+    Returns the states to go on from, lo and the level k (reads made): the
+    start states at level 0 when there are several, else the state reached
+    at level n or at the first branch, a node with a lambda move or two or
+    more read targets.  None means the run halted with no move before level n.
+    """
+    if len(t.initial) != 1:
+        return t.initial, 0, 0
+    names, reads, left, lam = t.names, t.reads, t.left, t.lam
+    (q,), n, lo, hi = t.initial, len(word), 0, len(word)
+    while lo < hi:
+        ts = reads[q].get(word[lo] if left[q] else word[hi - 1], ())
+        if len(ts) != 1 or lam[q]:
+            return ([q], lo, n - hi + lo) if ts or lam[q] else None
+        if path is not None:
+            path.append((names[q], lo, hi))
+        if left[q]:
+            lo += 1
+        else:
+            hi -= 1
+        q = ts[0]
+    return [q], lo, n
+
+
 def accepts(m: LinearAutomaton, word: str) -> bool:
     """Sweep the lambda-free automaton over the word one read at a time.
 
     After k reads a configuration (q, lo, hi) has hi = n - k + lo, so each
     level keeps one bitset over ``lo`` per state.  With bit i of ``masks[a]``
     set when ``word[i] == a``, a left read is ``(S & masks[a]) << 1`` and a
-    right read is ``S & (masks[a] >> (n - 1 - k))``.
+    right read is ``S & (masks[a] >> (n - 1 - k))``.  A lone start state
+    first steps by plain lookups while its read is forced, and masks and
+    sweep start at the first branch, so a deterministic automaton decides
+    the word with no big int at all.
     """
-    masks = _symbol_masks(m, word)
-    m = m._lambda_free
-    reads = m._reads
-    n = len(word)
-    level = dict.fromkeys(m.initial, 1)
-    for k in range(n):
+    _check_word(m, word)
+    t = m._lambda_free._table
+    if (at := _forced(t, word, None)) is None:
+        return False
+    (entries, lo, top), n = at, len(word)
+    if top == n:
+        return not t.final.isdisjoint(entries)
+    masks, moves = _symbol_masks(m, word), t.moves
+    level = dict.fromkeys(entries, 1 << lo)
+    for k in range(top, n):
         if not level:
             return False
         shift = n - 1 - k
-        nxt: dict[str, int] = {}
+        nxt: dict[int, int] = {}
         for q, s in level.items():
-            if q not in reads:
-                continue
-            left, moves = reads[q]
-            for a, targets in moves:
+            left, cells = moves[q]
+            for a, targets in cells:
                 moved = (s & masks[a]) << 1 if left else s & (masks[a] >> shift)
                 if moved:
-                    for t in targets:
-                        nxt[t] = nxt.get(t, 0) | moved
+                    for u in targets:
+                        nxt[u] = nxt.get(u, 0) | moved
         level = nxt
-    return not m.final.isdisjoint(level)
+    return not t.final.isdisjoint(level)
 
 
-class _Liveness:
-    """Backward sweep: bit lo of ``level(k)[q]`` is set when (q, lo, n - k + lo)
-    still has an accepting run.
+def _live_levels(t: _Table, word: str, masks: dict[str, int], top: int,
+                 ) -> Iterator[dict[int, int]]:
+    """Levels ``top`` to n of a backward sweep, in increasing order: bit lo
+    of level k's ``[q]`` is set when (q, lo, n - k + lo) has an accepting run.
 
     Level n holds the final states with every bit set; level k comes from
     level k + 1 by the reverse reads, a left read giving ``(L >> 1) & mask``
     and a right read ``L & (mask >> (n - 1 - k))``; each level is closed under
-    reverse lambda moves.  Only every ceil(sqrt(n))-th level is kept; a level
-    in between is rebuilt with the rest of its block from the checkpoint
-    above it, and the last block built is kept (Hirschberg's linear-space
-    idea).  A search that visits levels in increasing order rebuilds each
-    block once.
+    reverse lambda moves.  An empty level empties every level below it, so
+    the sweep stops there and yields nothing.  Only every
+    ceil(sqrt(n - top))-th level is kept, and the levels between two kept
+    ones are rebuilt from the upper one as the search reaches them
+    (Hirschberg's linear-space idea).
     """
+    n = len(word)
+    into: list[list[tuple[int, bool, int]]] = [[] for _ in t.names]  # (source, left, mask)
+    for q, (left, cells) in enumerate(t.moves):
+        for a, targets in cells:
+            for u in targets if masks[a] else ():
+                into[u].append((q, left, masks[a]))
 
-    def __init__(self, m: LinearAutomaton, word: str, masks: dict[str, int]):
-        n = self.n = len(word)
-        # the move table inverted: target -> (source, reads left?, mask)
-        self.into: dict[str, list[tuple[str, bool, int]]] = {}
-        for q, (left, moves) in m._reads.items():
-            for a, targets in moves:
-                if masks[a]:
-                    for t in targets:
-                        self.into.setdefault(t, []).append((q, left, masks[a]))
-        # t -> the other states whose lambda closure holds t
-        self.back: dict[str, list[str]] = {}
-        for q in {q for (q, a) in m.delta if a == LAMBDA}:
-            for t in lambda_closure(m, q) - {q}:
-                self.back.setdefault(t, []).append(q)
-        self.gap = math.isqrt(n - 1) + 1 if n else 1
-        live = self._closed(dict.fromkeys(m.final, (2 << n) - 1))
-        self.checkpoints = {n: live}
-        for k in reversed(range(n)):
-            live = self._below(live, k)
-            if k % self.gap == 0:
-                self.checkpoints[k] = live
-        self.block: dict[int, dict[str, int]] = {}
-
-    def _closed(self, pre: dict[str, int]) -> dict[str, int]:
-        if not self.back:
-            return pre
-        live = dict(pre)
-        for t, s in pre.items():
-            for q in self.back.get(t, ()):
+    def closed(live: dict[int, int]) -> dict[int, int]:
+        # back lists whole lambda closures, so one pass closes the level
+        for u, s in list(live.items()) if t.back else ():
+            for q in t.back.get(u, ()):
                 live[q] = live.get(q, 0) | s
         return live
 
-    def _below(self, live: dict[str, int], k: int) -> dict[str, int]:
-        shift = self.n - 1 - k
-        pre: dict[str, int] = {}
-        for t, s in live.items():
-            for q, left, mask in self.into.get(t, ()):
-                bits = (s >> 1) & mask if left else s & (mask >> shift)
-                if bits:
+    def below(live: dict[int, int], k: int) -> dict[int, int]:
+        shift, pre = n - 1 - k, {}
+        for u, s in live.items():
+            for q, left, mask in into[u]:
+                if bits := (s >> 1) & mask if left else s & (mask >> shift):
                     pre[q] = pre.get(q, 0) | bits
-        return self._closed(pre)
+        return closed(pre)
 
-    def level(self, k: int) -> dict[str, int]:
-        if k in self.checkpoints:
-            return self.checkpoints[k]
-        if k not in self.block:
-            base = k - k % self.gap
-            self.block.clear()
-            live = self.checkpoints[min(self.n, base + self.gap)]
-            for j in reversed(range(base + 1, min(self.n, base + self.gap))):
-                live = self.block[j] = self._below(live, j)
-        return self.block[k]
+    gap = math.isqrt(n - top - 1) + 1 if n > top else 1
+    live = closed(dict.fromkeys(t.final, (2 << n) - 1))
+    kept = {n: live}
+    for k in reversed(range(top, n)):
+        if not live:
+            return
+        live = below(live, k)
+        if (k - top) % gap == 0:
+            kept[k] = live
+    for base in range(top, n, gap):
+        yield kept[base]
+        block = [kept[min(n, base + gap)]]
+        for j in reversed(range(base + 1, min(n, base + gap))):
+            block.append(below(block[-1], j))
+        yield from reversed(block[1:])
+    yield kept[n]
 
-    def __contains__(self, ident: InstantaneousDescription) -> bool:
-        q, lo, hi = ident
-        return self.level(lo + self.n - hi).get(q, 0) >> lo & 1 == 1
+
+def _search(m: LinearAutomaton, word: str) -> list[tuple[str, int, int]] | None:
+    """The run ``trace`` returns, as (state, lo, hi) triples.
+
+    A lone start state first steps while its move is forced, and the
+    liveness sweep is built at the first branch, for the levels from there
+    on.  The search then goes level by level: it leaves a level by the first
+    live read target, in name order, of the first visited node that has one.
+    Only a node with no live read searches its live lambda moves, depth-first
+    within the level.  Once a level is entered at a live node, the search
+    never backs out of it: the node's accepting run stays in the level by
+    live lambda moves up to a node with a live read (or a final node at
+    level n), the search reaches such a node before it could back out, and
+    the read target is entered live at a level not visited yet.  So no
+    parent map or stack of descriptions is kept, and the run is the one the
+    plain depth-first search returns.
+    """
+    _check_word(m, word)
+    t, n, run = m._table, len(word), []
+    names, left, reads, lam = t.names, t.left, t.reads, t.lam
+    if (at := _forced(t, word, run)) is None:
+        return None
+    entries, lo, k = at
+    levels = _live_levels(t, word, _symbol_masks(m, word), k)
+    here = next(levels, {})
+    if (entry := next((q for q in entries if here.get(q, 0) >> lo & 1), None)) is None:
+        return None
+
+    def leave(u: int) -> int | None:
+        # u's first live read target, or -1 when u is final at level n
+        if k == n:
+            return -1 if u in t.final else None
+        after = lo + left[u]
+        for v in reads[u].get(word[lo] if left[u] else word[hi - 1], ()):
+            if ahead.get(v, 0) >> after & 1:
+                return v
+        return None
+
+    while True:
+        hi = n - k + lo
+        ahead = next(levels) if k < n else {}
+        path, todo, seen = [entry], [iter(lam[entry])], {entry}
+        while (target := leave(path[-1])) is None:  # depth-first over live lambda moves
+            u = next((u for u in todo[-1] if u not in seen and here.get(u, 0) >> lo & 1), None)
+            if u is None:
+                path.pop()
+                todo.pop()
+            else:
+                seen.add(u)
+                path.append(u)
+                todo.append(iter(lam[u]))
+        for u in path:
+            run.append((names[u], lo, hi))
+        if k == n:
+            return run
+        lo, k, entry, here = lo + left[path[-1]], k + 1, target, ahead
 
 
 def _run(m: LinearAutomaton, word: str) -> list[InstantaneousDescription] | None:
-    """The search behind ``trace``, returning descriptions: O(n) memory, not n²/2 characters."""
-    live = _Liveness(m, word, _symbol_masks(m, word))
-    starts = [InstantaneousDescription(q, 0, len(word)) for q in sorted(m.initial)]
-    stack: list[tuple[InstantaneousDescription, InstantaneousDescription | None]]
-    stack = [(ident, None) for ident in reversed(starts) if ident in live]
-    parent: dict[InstantaneousDescription, InstantaneousDescription | None] = {}
-    while stack:
-        ident, via = stack.pop()
-        if ident in parent:
-            continue
-        parent[ident] = via
-        if ident.lo >= ident.hi and ident.state in m.final:
-            path = [ident]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return path[::-1]
-        # a read leaves less input than a lambda move, so it sorts first
-        for nxt in sorted(step(m, ident, word), key=lambda i: (i.hi - i.lo, i.state),
-                          reverse=True):
-            if nxt not in parent and nxt in live:
-                stack.append((nxt, ident))
-    return None
+    """``trace``'s run as descriptions: O(n) memory, not n²/2 characters."""
+    run = _search(m, word)
+    return None if run is None else list(map(InstantaneousDescription._make, run))
 
 
 def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
@@ -310,14 +389,10 @@ def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
 
     Depth-first with a fixed tie-break (reading moves before lambda moves,
     target states in name order), so the returned run is reproducible.  A
-    backward liveness sweep comes first and the search pushes only
-    descriptions that can still accept: a rejected word has no live start,
-    and an accepted one is found without entering a dead branch, in steps
-    linear in the number of levels.  Dropping dead descriptions changes
-    neither the order nor the parent of the first visit to a live one, so
-    the run is the one the plain search would return.
+    backward liveness sweep steers the search past every dead branch (see
+    ``_search``), in steps linear in the number of levels.
     """
-    run = _run(m, word)
+    run = _search(m, word)
     return None if run is None else [(q, word[lo:hi]) for q, lo, hi in run]
 
 
@@ -397,19 +472,16 @@ def _subset_table(m: LinearAutomaton) -> _Subsets:
     # empty union is skipped, matching a partial transition function on the
     # determinized side.
     _require_lambda_free(m, "subset construction")
-    order = sorted(m.states)
-    at = {q: i for i, q in enumerate(order)}
-
-    def mask(states: Iterable[str]) -> int:
-        return sum(1 << at[q] for q in states)
-
-    targets = {a: [0] * len(order) for a in sorted(m.alphabet)}
-    for (q, a), ts in m._cells.items():
-        targets[a][at[q]] = mask(ts)
-    left, right, final = mask(m.left_states), mask(m.right_states), mask(m.final)
+    table = m._table
+    targets = {a: [0] * len(table.names) for a in sorted(m.alphabet)}
+    for q, (_, cells) in enumerate(table.moves):
+        for a, ts in cells:
+            targets[a][q] = sum(1 << u for u in ts)
+    left = sum(1 << q for q, lft in enumerate(table.left) if lft)
+    right, final = (1 << len(table.names)) - 1 - left, sum(1 << q for q in table.final)
     t = _Subsets([], [], [], [])
     all_left, all_right, mixed = Homogeneity  # enum member lookups are slow
-    masks = [1 << at[q] for q in sorted(m.initial)]
+    masks = [1 << q for q in table.initial]
     number = {x: k for k, x in enumerate(masks)}
     for k, x in enumerate(masks):  # the loop sees subsets appended as they are found
         members, rest = [], x
@@ -417,7 +489,7 @@ def _subset_table(m: LinearAutomaton) -> _Subsets:
             low = rest & -rest
             members.append(low.bit_length() - 1)
             rest ^= low
-        t.members.append(tuple(map(order.__getitem__, members)))
+        t.members.append(tuple(map(table.names.__getitem__, members)))
         t.homogeneity.append(all_left if not x & right else
                              all_right if not x & left else mixed)
         t.final.append(x & final != 0)

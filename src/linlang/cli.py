@@ -71,7 +71,7 @@ def _reads(parse):
 @_reads(textio.parse_grammar)
 def _grammar_check(g, args) -> int:
     print(f"ok: {len(g.variables)} variables, {len(g.terminals)} terminals, "
-          f"{len(g.productions)} productions")
+          f"{sum(map(len, g._rules.values()))} productions")  # no Production is built
     return 0
 
 

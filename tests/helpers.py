@@ -206,7 +206,8 @@ def reference_even_grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
     return _slnf_to_nla(split, "right")
 
 
-def random_automaton(rng: random.Random, allow_lambda: bool = True) -> LinearAutomaton:
+def random_automaton(rng: random.Random, allow_lambda: bool = True,
+                     single_start: bool = False) -> LinearAutomaton:
     n = rng.randint(1, 4)
     states = [f"s{i}" for i in range(n)]
     left = {q for q in states if rng.random() < 0.5}
@@ -224,6 +225,8 @@ def random_automaton(rng: random.Random, allow_lambda: bool = True) -> LinearAut
             if targets:
                 delta[(q, LAMBDA)] = targets
     initial = {q for q in states if rng.random() < 0.5} or {states[0]}
+    if single_start:
+        initial = {rng.choice(states)}
     final = {q for q in states if rng.random() < 0.4}
     return validate_automaton(left=left, right=right, alphabet=alphabet,
                               delta=delta, initial=initial, final=final)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from linlang import (
@@ -34,7 +36,7 @@ from linlang.errors import (
     UnknownState,
 )
 
-from helpers import all_words, by_length, reference_trace
+from helpers import all_words, by_length, reference_accepts, reference_trace
 
 EX_NLA = load_fixture("ex_nla").payload
 DLA = load_fixture("dla_anbn_ancn").payload
@@ -198,6 +200,37 @@ class TestTrace:
                 assert (run is not None) == accepts(m, word)
                 if run is not None:
                     assert_replays(m, word, run)
+
+    def test_long_palindromes_agree_with_the_references(self):
+        # deterministic automata: the whole run is the forced walk
+        rng = random.Random(4096)
+        half = "".join(rng.choice("ab") for _ in range(2048))
+        member = half + half[::-1]
+        flip = {"a": "b", "b": "a"}
+        misses = [member[:i] + flip[member[i]] + member[i + 1:] for i in (0, 1000, 2047, 4095)]
+        for m in (PAL_EVEN, PAL_ALL):
+            assert accepts(m, member)
+            for word in [member, *misses, member[:1000] + member[1001:]]:
+                want = reference_accepts(m, word)
+                assert accepts(m, word) == want, (m, len(word))
+                run = trace(m, word)
+                assert run == reference_trace(m, word), (m, len(word))
+                assert (run is not None) == want
+
+    def test_every_short_word_where_a_branch_follows_the_start(self):
+        # each start here branches at once or after a forced prefix: f0 and
+        # f1 are forced, g has a lambda move, and the lk chain forks
+        lk = build_lk_automaton(2)
+        prefixed = validate_automaton(
+            left=["f0", *lk.left_states], right=["f1", "g", *lk.right_states],
+            alphabet=["a", "b"], initial=["f0"], final=lk.final,
+            delta={**lk.delta, ("f0", "a"): {"f1"}, ("f1", "b"): {"g"},
+                   ("g", LAMBDA): {"q0"}, ("g", "b"): {"f0"}})
+        for m in (build_lk_automaton(1), lk, build_lk_automaton(3), HOMOG, prefixed):
+            for word in all_words("".join(sorted(m.alphabet)), 10):
+                want = reference_accepts(m, word)
+                assert accepts(m, word) == want, (m, word)
+                assert trace(m, word) == reference_trace(m, word), (m, word)
 
     def test_word_longer_than_the_int_digit_limit(self):
         # 7200 symbols: the masks are read in base 2, exempt from the limit

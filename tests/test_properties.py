@@ -160,6 +160,19 @@ def test_simulation_agrees_with_reference_search():
         assert enumerate_accepted(m, 6) == by_length(accepted), m
 
 
+def test_single_start_simulation_agrees_with_reference_search():
+    # one start state sends accepts and trace through the forced walk first
+    rng = random.Random(0x51A6)
+    for i in range(300):
+        m = random_automaton(rng, allow_lambda=i % 2 == 0, single_start=True)
+        for word in all_words("".join(m.alphabet), 6):
+            want = reference_accepts(m, word)
+            assert accepts(m, word) == want, (m, word)
+            run = trace(m, word)
+            assert run == reference_trace(m, word), (m, word)
+            assert (run is not None) == want, (m, word)
+
+
 def test_grammar_roundtrip_conversions_over_seeded_inputs():
     rng = random.Random(0xABCD)
     for _ in range(60):
