@@ -5,7 +5,6 @@ from .automaton import (
     Homogeneity,
     InstantaneousDescription,
     LinearAutomaton,
-    StateClass,
     SubsetState,
     accepts,
     class_swapped,

@@ -37,11 +37,6 @@ from .naming import NamePool, check_name, names_ok
 LAMBDA = ""
 
 
-class StateClass(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 class _Table(NamedTuple):
     """The moves with the states numbered once, in name order: each list is
     indexed by state number, and targets are listed in name order."""
@@ -97,6 +92,11 @@ class LinearAutomaton:
                 t = min(missing)
                 raise UnknownState(f"transition into undeclared state {t!r}", subject=t)
 
+    def __reduce__(self):
+        # str hashes differ between processes, so a copy rebuilds its sets
+        return LinearAutomaton, (self.left_states, self.right_states, self.alphabet,
+                                 dict(self.delta), self.initial, self.final)
+
     @cached_property
     def states(self) -> frozenset[str]:
         return self.left_states | self.right_states
@@ -109,13 +109,6 @@ class LinearAutomaton:
     def _lambda_free(self) -> LinearAutomaton:
         # built on first use, so each automaton folds its lambda moves once
         return eliminate_lambda(self) if self.has_lambda_moves else self
-
-    def class_of(self, q: str) -> StateClass:
-        if q in self.left_states:
-            return StateClass.LEFT
-        if q in self.right_states:
-            return StateClass.RIGHT
-        raise UnknownState(f"no state named {q!r}")
 
     @cached_property
     def _table(self) -> _Table:
@@ -376,12 +369,6 @@ def _search(m: LinearAutomaton, word: str) -> list[tuple[str, int, int]] | None:
         if k == n:
             return run
         lo, k, entry, here = lo + left[path[-1]], k + 1, target, ahead
-
-
-def _run(m: LinearAutomaton, word: str) -> list[InstantaneousDescription] | None:
-    """``trace``'s run as descriptions: O(n) memory, not n²/2 characters."""
-    run = _search(m, word)
-    return None if run is None else list(map(InstantaneousDescription._make, run))
 
 
 def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:

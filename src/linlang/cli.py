@@ -101,7 +101,7 @@ def _simulate(m, args) -> int:
         ok = auto_ops.accepts(m, word)
         print("accept" if ok else "reject")
         return 0 if ok else 1
-    run = auto_ops._run(m, word)
+    run = auto_ops._search(m, word)
     if run is None:
         print("reject")
         return 1

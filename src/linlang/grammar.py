@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateSymbol,
@@ -111,9 +111,12 @@ def _body(rule: Rule) -> tuple[str, ...]:  # the tuple of names
     return (*x,) if u is None else (*x, u, *y)
 
 
-def _body_symbols(rule: Rule) -> tuple[Symbol, ...]:
-    x, u, y = rule
-    return (*map(terminal, x), *(() if u is None else (variable(u), *map(terminal, y))))
+def _split(names: Sequence[str], i: int | None) -> Rule:  # a body, its variable at i
+    try:
+        return ("".join(names), None, "") if i is None else (
+            "".join(names[:i]), names[i], "".join(names[i + 1:]))
+    except TypeError:  # a name that is not a str, which the name check rejects
+        return _split([*map(str, names)], i)
 
 
 class VariableClass(enum.Enum):
@@ -139,32 +142,17 @@ class LinearGrammar:
     def __init__(self, variables: Iterable[Symbol], terminals: Iterable[Symbol],
                  start: Symbol, productions: Iterable[Production]):
         variables, terminals, productions = map(frozenset, (variables, terminals, productions))
-        # Names are visited in sorted order, so of several faults the same
-        # one is always reported.
-        for kind, pool in ((_VARIABLE, variables), (_TERMINAL, terminals)):
-            for s in sorted(pool, key=_name):
-                check_name(s.name, kind.value, single=kind is _TERMINAL)
-                if s.kind is not kind:
-                    raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
-                                        f"with kind {s.kind.value}", subject=s.name)
-        names = frozenset(map(_name, variables)), frozenset(map(_name, terminals))
-        if clash := names[0] & names[1]:
-            name = min(clash)
-            raise DuplicateSymbol(f"{name!r} declared as both terminal and variable",
-                                  subject=name)
-        if start not in variables:
-            raise StartNotDeclared(f"start {start.name!r} is not a declared variable",
-                                   subject=start.name)
+        # kinds are what names cannot show; the scan sorts names in the symbols' order
+        names = [*map(_name, variables)], [*map(_name, terminals)]
+        misfiled = {(s.name, role): s.kind for role, kind, pool in (
+            ("variable", _VARIABLE, variables), ("terminal", _TERMINAL, terminals),
+            ("start", _VARIABLE, (start,))) for s in pool if s.kind is not kind}
         used = set(map(_head, productions)).union(*(p.body for p in productions))
-        if bad := used - variables - terminals:
-            name = min(s.name for s in bad)
-            raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
+        if (bad := used - variables - terminals) or misfiled:
+            _fault(*names, start.name, {s.name for s in bad}, misfiled)
         rules = defaultdict(list)
         for p in productions:
-            i, body = p.variable_index, [s.name for s in p.body]
-            rules[p.head.name].append(("".join(body), None, "") if i is None else
-                                      ("".join(body[:i]), body[i], "".join(body[i + 1:])))
-        # the private build's checks pass again; its fields become this one's
+            rules[p.head.name].append(_split([s.name for s in p.body], p.variable_index))
         self.__dict__.update(vars(_grammar(*names, start.name, rules)))
 
     # one symbol per name, shared by every view
@@ -213,26 +201,43 @@ class LinearGrammar:
         return {*self._variables, *self._terminals}
 
 
+def _fault(variables: Collection[str], terminals: Collection[str], start: str,
+           undeclared: set[str], misfiled: Mapping[tuple[str, str], SymbolKind] = {}) -> None:
+    """Raise the first of a grammar's name faults, in one order so that the same
+    one is always reported: each declared name with its kind, variables then
+    terminals, each sorted; a name of both kinds; the start; the least
+    undeclared name.  ``misfiled`` maps (name, role) to a symbol's wrong kind."""
+    for kind, pool in ((_VARIABLE, variables), (_TERMINAL, terminals)):
+        for n in sorted(pool):
+            check_name(n, kind.value, single=kind is _TERMINAL)
+            if (n, kind.value) in misfiled:
+                raise UnknownSymbol(f"{n!r} listed as {kind.value} "
+                                    f"with kind {misfiled[n, kind.value].value}", subject=n)
+    if clash := set(variables).intersection(terminals):
+        name = min(clash)
+        raise DuplicateSymbol(f"{name!r} declared as both terminal and variable", subject=name)
+    if start not in variables or (start, "start") in misfiled:
+        raise StartNotDeclared(f"start {start!r} is not a declared variable", subject=start)
+    if undeclared:
+        name = min(undeclared)
+        raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
+
+
 def _grammar(variables: Iterable[str], terminals: Iterable[str], start: str,
              rules: Mapping[str, Iterable[Rule]]) -> LinearGrammar:
-    """A grammar from names that come from a checked grammar or a NamePool.
-
-    It makes the constructor's name-level checks, so no pass can build a
-    grammar the constructor would reject: valid names, none of both kinds, a
-    declared start, every name a rule uses declared as its kind; on a fault
-    the constructor reports it.  Duplicate rules go; heads and bodies sort.
+    """A grammar from names, with every name-level check in one batch: valid
+    names, none of both kinds, a declared start, every name a rule uses
+    declared as its kind.  On a fault ``_fault`` reports it.  Duplicate rules
+    go; heads and bodies sort.
     """
-    variables, terminals = frozenset(variables), frozenset(terminals)
+    vs, ts = frozenset(variables), frozenset(terminals)
     used = {*rules, *(u for rs in rules.values() for _, u, _ in rs if u is not None)}
     chars = set("".join(x + y for rs in rules.values() for x, _, y in rs))
-    if not (names_ok(variables) and names_ok(terminals, single=True)
-            and variables.isdisjoint(terminals) and start in variables
-            and used <= variables and chars <= terminals):
-        LinearGrammar(map(variable, variables), map(terminal, terminals), variable(start),
-                      [Production(variable(v), _body_symbols(r)) for v, rs in rules.items()
-                       for r in rs])
+    if not (names_ok(vs) and names_ok(ts, single=True) and vs.isdisjoint(ts)
+            and start in vs and used <= vs and chars <= ts):
+        _fault(variables, terminals, start, (used - vs) | (chars - ts))
     g = object.__new__(LinearGrammar)
-    g.__dict__.update(_variables=variables, _terminals=terminals, _start=start,
+    g.__dict__.update(_variables=vs, _terminals=ts, _start=start,
                       _rules={v: tuple(sorted(set(rs), key=_body))
                               for v, rs in sorted(rules.items()) if rs})
     return g
@@ -241,28 +246,29 @@ def _grammar(variables: Iterable[str], terminals: Iterable[str], start: str,
 def validate_grammar(*, variables: Iterable[str], terminals: Iterable[str],
                      start: str, productions: Iterable[tuple[str, Sequence[str]]],
                      ) -> LinearGrammar:
-    """Build a LinearGrammar from name-level data.
-
-    ``productions`` pairs a head name with a sequence of symbol names; an
-    empty sequence is the erasing production.  A name declared twice raises
-    DuplicateSymbol; every other rule is checked by Production and
-    LinearGrammar.  An undeclared name passes through for them to reject: as
-    a variable as start or head, as a terminal in a body, where it cannot
-    make the body non-linear.
-    """
-    table: dict[str, Symbol] = {}
-    for names, make in ((variables, variable), (terminals, terminal)):
+    """Build a LinearGrammar from names, each production a head and its body;
+    an empty body is the erasing production.  A name declared twice raises
+    DuplicateSymbol, then a terminal head or a body with two variables the
+    error of its Production, in input order; ``_fault`` reports the rest."""
+    kinds: dict[str, SymbolKind] = {}
+    for kind, names in ((_VARIABLE, variables), (_TERMINAL, terminals)):
         for n in names:
-            if n in table:
+            if n in kinds:
                 raise DuplicateSymbol(f"{n!r} declared twice", subject=n)
-            table[n] = make(n)
-    prods = frozenset(Production(table.get(head) or variable(head),
-                                 tuple(table.get(n) or terminal(n) for n in body))
-                      for head, body in productions)
-    symbols = table.values()
-    return LinearGrammar(frozenset(s for s in symbols if s.kind is _VARIABLE),
-                         frozenset(s for s in symbols if s.kind is _TERMINAL),
-                         table.get(start) or variable(start), prods)
+            kinds[n] = kind
+    rules, undeclared = defaultdict(list), set()
+    for head, body in productions:
+        ks = list(map(kinds.get, body))
+        if kinds.get(head, _VARIABLE) is not _VARIABLE or ks.count(_VARIABLE) > 1:
+            Production(Symbol(head, kinds.get(head, _VARIABLE)),
+                       tuple(Symbol(n, k or _TERMINAL) for n, k in zip(body, ks)))
+        if head not in kinds or None in ks:
+            undeclared.update(n for n in (head, *body) if n not in kinds)
+        rules[head].append(_split(body, ks.index(_VARIABLE) if _VARIABLE in ks else None))
+    pools = [[n for n, k in kinds.items() if k is kind] for kind in (_VARIABLE, _TERMINAL)]
+    if undeclared:  # a name of several characters cannot sit in a flank
+        _fault(*pools, start, undeclared)
+    return _grammar(*pools, start, rules)
 
 
 def classify_variable(g: LinearGrammar, v: Symbol | str) -> VariableClass:

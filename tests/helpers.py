@@ -29,7 +29,14 @@ from linlang import (
 )
 from linlang.automaton import LAMBDA, _move_rules
 from linlang.convert import _slnf_to_nla
-from linlang.errors import NotDeterminizable, NotEven, NotEvenLinear, UnknownSymbol
+from linlang.errors import (
+    DuplicateSymbol,
+    NotDeterminizable,
+    NotEven,
+    NotEvenLinear,
+    StartNotDeclared,
+    UnknownSymbol,
+)
 from linlang.naming import NamePool, check_name
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "linlang" / "corpus" / "data"
@@ -332,17 +339,54 @@ def _error(run) -> tuple | None:
     return None
 
 
+def _check_declared(variables, terminals) -> None:
+    """The sorted per-name loop over a grammar's declared symbols."""
+    for kind, pool in ((SymbolKind.VARIABLE, variables), (SymbolKind.TERMINAL, terminals)):
+        for s in sorted(pool, key=lambda s: s.name):
+            check_name(s.name, kind.value, single=kind is SymbolKind.TERMINAL)
+            if s.kind is not kind:
+                raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
+                                    f"with kind {s.kind.value}", subject=s.name)
+
+
 def reference_grammar_name_error(variables, terminals) -> tuple | None:
     """(type, message, subject) that a sorted per-name loop raises first over a
     grammar's declared symbols, or None when every one passes."""
-    def run():
-        for kind, pool in ((SymbolKind.VARIABLE, variables), (SymbolKind.TERMINAL, terminals)):
-            for s in sorted(pool, key=lambda s: s.name):
-                check_name(s.name, kind.value, single=kind is SymbolKind.TERMINAL)
-                if s.kind is not kind:
-                    raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
-                                        f"with kind {s.kind.value}", subject=s.name)
-    return _error(run)
+    return _error(lambda: _check_declared(variables, terminals))
+
+
+def reference_validate_grammar(*, variables, terminals, start, productions) -> LinearGrammar:
+    """``validate_grammar`` on the object path: a Symbol per declared name, a
+    Production per body, then the constructor's per-symbol checks in order.
+
+    The slow reference for the name-level checks of ``validate_grammar``.
+    An undeclared name passes through for the checks to reject: as a
+    variable as start or head, as a terminal in a body.
+    """
+    table: dict[str, Symbol] = {}
+    for names, make in ((variables, variable), (terminals, terminal)):
+        for n in names:
+            if n in table:
+                raise DuplicateSymbol(f"{n!r} declared twice", subject=n)
+            table[n] = make(n)
+    prods = frozenset(Production(table.get(head) or variable(head),
+                                 tuple(table.get(n) or terminal(n) for n in body))
+                      for head, body in productions)
+    vs = frozenset(s for s in table.values() if s.kind is SymbolKind.VARIABLE)
+    ts = frozenset(s for s in table.values() if s.kind is SymbolKind.TERMINAL)
+    start = table.get(start) or variable(start)
+    _check_declared(vs, ts)
+    if clash := {s.name for s in vs} & {s.name for s in ts}:
+        name = min(clash)
+        raise DuplicateSymbol(f"{name!r} declared as both terminal and variable", subject=name)
+    if start not in vs:
+        raise StartNotDeclared(f"start {start.name!r} is not a declared variable",
+                               subject=start.name)
+    used = {p.head for p in prods}.union(*(p.body for p in prods))
+    if bad := used - vs - ts:
+        name = min(s.name for s in bad)
+        raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
+    return LinearGrammar(vs, ts, start, prods)
 
 
 def reference_automaton_name_error(states, alphabet) -> tuple | None:

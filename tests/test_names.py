@@ -4,11 +4,29 @@ import random
 
 import pytest
 
-from linlang import LinearAutomaton, LinearGrammar, Symbol, SymbolKind, terminal, variable
-from linlang.errors import InvalidIdentifier
+from linlang import (
+    LinearAutomaton,
+    LinearGrammar,
+    Symbol,
+    SymbolKind,
+    terminal,
+    validate_grammar,
+    variable,
+)
+from linlang.errors import (
+    DuplicateSymbol,
+    InvalidIdentifier,
+    NotLinear,
+    StartNotDeclared,
+    UnknownSymbol,
+)
 from linlang.naming import check_name, names_ok
 
-from helpers import reference_automaton_name_error, reference_grammar_name_error
+from helpers import (
+    reference_automaton_name_error,
+    reference_grammar_name_error,
+    reference_validate_grammar,
+)
 
 V, T = SymbolKind.VARIABLE, SymbolKind.TERMINAL
 
@@ -100,3 +118,75 @@ def test_valid_names_pass_in_one_batch():
     assert names_ok([]) and names_ok([], single=True)
     assert not names_ok(["a", "eps"])
     assert not names_ok(["a b"]) and not names_ok(["a", "b c"])
+
+
+def faulty_grammar_data(rng: random.Random) -> dict:
+    """validate_grammar's keyword arguments for a small grammar with up to
+    three faults, each put at a random place."""
+    variables = ["S", "A", "B"][: rng.randint(1, 3)]
+    terminals = ["a", "b"][: rng.randint(1, 2)]
+    start, productions = "S", []
+    for _ in range(rng.randint(0, 5)):
+        body = [rng.choice(terminals) for _ in range(rng.randint(0, 4))]
+        if body and rng.random() < 0.7:
+            body[rng.randrange(len(body))] = rng.choice(variables)
+        productions.append((rng.choice(variables), body))
+
+    def add_production(head, body):
+        productions.insert(rng.randint(0, len(productions)), (head, body))
+
+    def add_to_body(name):
+        body = [rng.choice(terminals) for _ in range(rng.randint(0, 2))]
+        body.insert(rng.randint(0, len(body)), name)
+        add_production(rng.choice(variables), body)
+
+    for _ in range(rng.randint(0, 3)):
+        fault = rng.randrange(10)
+        if fault == 0:  # a duplicate declaration
+            pool = rng.choice([variables, terminals])
+            pool.insert(rng.randint(0, len(pool)), rng.choice(variables + terminals))
+        elif fault == 1:  # a bad or reserved variable name
+            variables.append(rng.choice(["1A", "A B", "", "eps", "Z-"]))
+        elif fault == 2:  # a bad, reserved or multi-character terminal
+            terminals.append(rng.choice(["bc", "eps", "1", " ", "", "de"]))
+        elif fault == 3:  # a terminal head
+            add_production(rng.choice(terminals), [rng.choice(variables)])
+        elif fault == 4:  # a body with two variables
+            add_production(rng.choice(variables),
+                           [rng.choice(variables), rng.choice(terminals), rng.choice(variables)])
+        elif fault == 5:  # an undeclared one-character body name
+            add_to_body(rng.choice(["z", "Z", "c"]))
+        elif fault == 6:  # an undeclared name of several characters in a body
+            add_to_body(rng.choice(["zz", "Zq", "ab", "SA", "eps1"]))
+        elif fault == 7:  # an undeclared head
+            add_production(rng.choice(["X", "XY", "c"]), [rng.choice(terminals)])
+        elif fault == 8:  # a missing start
+            start = "T"
+        else:  # a terminal start
+            start = rng.choice(terminals)
+    return dict(variables=variables, terminals=terminals, start=start, productions=productions)
+
+
+def outcome(build) -> tuple:
+    try:
+        g = build()
+    except Exception as exc:  # noqa: BLE001 - compared with the object path's error
+        return type(exc), str(exc), str(exc.subject)
+    return g
+
+
+def test_validate_grammar_raises_what_the_object_path_raises():
+    rng = random.Random(0x14)
+    seen = set()
+    names_not_str = [  # a declared terminal and an undeclared body name
+        dict(variables=["S"], terminals=[3], start="S", productions=[("S", [3, "S"])]),
+        dict(variables=["S"], terminals=["a"], start="S", productions=[("S", ["a", 3])]),
+    ]
+    for data in names_not_str + [faulty_grammar_data(rng) for _ in range(600)]:
+        want = outcome(lambda: reference_validate_grammar(**data))
+        assert outcome(lambda: validate_grammar(**data)) == want, data
+        seen.add(want[0] if isinstance(want, tuple) else LinearGrammar)
+        if isinstance(want, tuple) and want[0] is UnknownSymbol:
+            seen.add(len(want[2]))
+    assert seen >= {LinearGrammar, DuplicateSymbol, InvalidIdentifier, NotLinear,
+                    StartNotDeclared, UnknownSymbol, 1, 2}

@@ -1,5 +1,6 @@
 """Property tests over generated grammars and automata."""
 
+import copy
 import os
 import pickle
 import random
@@ -213,16 +214,37 @@ def test_pickled_values_rehash_in_a_process_with_another_hash_seed(tmp_path):
     # processes, so an unpickled value must hash afresh
     g = random_grammar(random.Random(5))
     to_slnf(g)
-    path = tmp_path / "grammar.pickle"
-    path.write_bytes(pickle.dumps(g))
+    m = grammar_to_nla(g)
+    accepts(m, "")  # fills the cached move table
+    path = tmp_path / "values.pickle"
+    path.write_bytes(pickle.dumps((g, m)))
     check = ("import pickle, sys\n"
-             "from linlang import parse_grammar, serialize_grammar, to_slnf\n"
-             "g = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+             "from linlang import (accepts, enumerate_accepted, parse_automaton,\n"
+             "                     parse_grammar, serialize_automaton, serialize_grammar,\n"
+             "                     to_slnf)\n"
+             "g, m = pickle.loads(open(sys.argv[1], 'rb').read())\n"
              "f = parse_grammar(serialize_grammar(g))\n"
              "assert g == f and hash(g) == hash(f) and g.start in f.variables\n"
              "assert all(p in f.productions for p in g.productions)\n"
-             "assert to_slnf(g) == to_slnf(f)\n")
+             "assert to_slnf(g) == to_slnf(f)\n"
+             "n = parse_automaton(serialize_automaton(m))\n"
+             "assert m == n and hash(m) == hash(n) and m.initial <= n.states\n"
+             "words = enumerate_accepted(n, 6)\n"
+             "assert enumerate_accepted(m, 6) == words and all(accepts(m, w) for w in words)\n")
     seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
     src = str(Path(to_slnf.__code__.co_filename).resolve().parents[1])
     env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", check, str(path)], env=env, check=True)
+
+
+def test_automata_copy_and_pickle_as_values():
+    rng = random.Random(0x15)
+    ms = [random_automaton(rng) for _ in range(100)]
+    ms += [grammar_to_nla(random_grammar(rng)) for _ in range(20)]
+    for m in ms:
+        accepts(m, "")  # fills the cached move table
+        words = enumerate_accepted(m, 5)
+        for c in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert c == m and hash(c) == hash(m) and dict(c.delta) == dict(m.delta)
+            assert serialize_automaton(c) == serialize_automaton(m)
+            assert enumerate_accepted(c, 5) == words and all(accepts(c, w) for w in words)

@@ -37,6 +37,7 @@ from linlang.errors import DuplicateSymbol, InvalidIdentifier, StartNotDeclared,
 from linlang.grammar import Production, _grammar
 
 from helpers import (
+    DATA,
     g_prime,
     random_automaton,
     random_compile_grammar,
@@ -182,12 +183,16 @@ def test_no_pass_builds_a_symbol_or_a_production(monkeypatch):
     fixtures = {fx.id: fx.payload for fx in map(load_fixture, fixture_ids())}
     grammars = [g_prime(), fixtures["det_grammar_2_1"], fixtures["even_palindrome_grammar"]]
     automata = [grammar_to_nla(g) for g in grammars] + [fixtures["palindrome_even"]]
+    texts = [path.read_text() for path in sorted(DATA.glob("*.grm"))]
+    texts.append(serialize_grammar(grammars[0]))
 
     def built(self):
         raise AssertionError(f"built {type(self).__name__}")
 
     monkeypatch.setattr(Symbol, "__post_init__", built)
     monkeypatch.setattr(Production, "__post_init__", built)
+    for text in texts:
+        parse_grammar(text)
     for g in grammars:
         for check in (is_lnf, is_slnf, is_deterministic_linear, is_even_linear):
             check(g)
