@@ -4,7 +4,9 @@ States come in two disjoint classes: left-reading states consume the leftmost
 remaining input symbol, right-reading states the rightmost.  The transition
 map sends (state, symbol-or-lambda) to a set of states; lambda moves change
 state without reading.  A word is accepted when some run starting in a start
-state consumes the whole word and ends in a final state.
+state consumes the whole word and ends in a final state.  An automaton holds
+its states numbered in name order and one row of moves per state; the
+name-level transition map is a view.
 
 Everything is an immutable value and every operation is pure; the search
 structures are operation-local, so concurrent use is safe.
@@ -15,11 +17,13 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
+from itertools import chain, compress
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ClassOverlap,
@@ -31,111 +35,164 @@ from .errors import (
     UnknownSymbol,
 )
 from .grammar import _closure, _enumerate_words
-from .naming import NamePool, check_name, names_ok
+from .naming import NamePool, check_name, names_ok, scan_order
 
 #: Internal marker for the empty-string move; rendered as ``eps`` in all I/O.
 LAMBDA = ""
 
 
-class _Table(NamedTuple):
-    """The moves with the states numbered once, in name order: each list is
-    indexed by state number, and targets are listed in name order."""
-
-    names: list[str]
-    left: list[bool]  # reads the left end
-    reads: list[dict[str, tuple[int, ...]]]  # symbol -> targets
-    moves: list[tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]]]  # (left, reads) to sweep
-    lam: list[tuple[int, ...]]  # lambda targets
-    back: dict[int, list[int]]  # the other states whose lambda closure holds this one
-    initial: list[int]
-    final: frozenset[int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearAutomaton:
-    left_states: frozenset[str]
-    right_states: frozenset[str]
-    alphabet: frozenset[str]
-    #: Read-only view; unhashable, so the automaton's hash leaves it out.
-    delta: Mapping[tuple[str, str], frozenset[str]] = field(hash=False)
-    initial: frozenset[str]
-    final: frozenset[str]
+    """States numbered in name order, with one row per state number: its
+    side, its reads (symbol -> target numbers, symbols and targets in order)
+    and its lambda targets.  ``states``, ``left_states``, ``right_states``,
+    ``initial``, ``final`` and ``delta`` are views cached on first use."""
 
-    def __post_init__(self):
-        for name in ("left_states", "right_states", "alphabet", "initial", "final"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        cells = {k: frozenset(v) for k, v in self.delta.items() if v}
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "delta", MappingProxyType(cells))
-        states = self.states
-        named = states | self.initial | self.final
-        if not (names_ok(named) and names_ok(self.alphabet, single=True)):
-            # Names are visited in sorted order, so of several faults the
-            # same one is always reported.
-            for q in sorted(named):
-                check_name(q, "state")
-            for a in sorted(self.alphabet):
-                check_name(a, "alphabet symbol", single=True)
-        if overlap := self.left_states & self.right_states:
-            q = min(overlap)
-            raise ClassOverlap(f"state {q!r} declared in both classes", subject=q)
-        for pool, what in ((self.initial, "initial"), (self.final, "final")):
-            if missing := pool - states:
-                q = min(missing)
-                raise UnknownState(f"{what} state {q!r} is not declared", subject=q)
-        for (q, a), targets in cells.items():
-            if q not in states:
-                raise UnknownState(f"transition from undeclared state {q!r}", subject=q)
-            if a != LAMBDA and a not in self.alphabet:
-                raise UnknownSymbol(f"transition on undeclared symbol {a!r}", subject=a)
-            if missing := targets - states:
-                t = min(missing)
-                raise UnknownState(f"transition into undeclared state {t!r}", subject=t)
+    _names: tuple[str, ...]
+    _left: tuple[bool, ...]  # reads the left end
+    #: Unhashable, so the automaton's hash leaves it out.
+    _reads: tuple[dict[str, tuple[int, ...]], ...] = field(hash=False)
+    _lam: tuple[tuple[int, ...], ...]
+    alphabet: frozenset[str]
+    _initial: tuple[int, ...]
+    _final: frozenset[int]
+
+    def __init__(self, left_states: Iterable[str], right_states: Iterable[str],
+                 alphabet: Iterable[str], delta: Mapping[tuple[str, str], Iterable[str]],
+                 initial: Iterable[str], final: Iterable[str]):
+        cells = [c for (q, a), ts in delta.items() if len(c := (q, a, "->", *ts)) > 3]
+        self.__dict__.update(vars(_named(left_states, right_states, alphabet, initial,
+                                         final, cells)))
 
     def __reduce__(self):
-        # str hashes differ between processes, so a copy rebuilds its sets
-        return LinearAutomaton, (self.left_states, self.right_states, self.alphabet,
-                                 dict(self.delta), self.initial, self.final)
+        # str hashes differ between processes, so a copy rebuilds its dicts and sets
+        return _automaton, (self._names, self._left, self._reads, self._lam,
+                            self.alphabet, self._initial, self._final)
+
+    states = cached_property(lambda self: frozenset(self._names))
+    left_states = cached_property(lambda self: frozenset(compress(self._names, self._left)))
+    right_states = cached_property(lambda self: self.states - self.left_states)
+    initial = cached_property(lambda self: frozenset(map(self._names.__getitem__, self._initial)))
+    final = cached_property(lambda self: frozenset(map(self._names.__getitem__, self._final)))
 
     @cached_property
-    def states(self) -> frozenset[str]:
-        return self.left_states | self.right_states
+    def delta(self) -> Mapping[tuple[str, str], frozenset[str]]:
+        """Read-only view of the cells, in the order of ``transitions()``."""
+        names, cells = self._names, {}
+        for q, reads, lam in zip(names, self._reads, self._lam):
+            for a, ts in (*reads.items(), (LAMBDA, lam)) if lam else reads.items():
+                cells[q, a] = frozenset(map(names.__getitem__, ts))
+        return MappingProxyType(cells)
 
-    @property
-    def has_lambda_moves(self) -> bool:
-        return any(a == LAMBDA for (_, a) in self.delta)
+    has_lambda_moves = property(lambda self: any(self._lam))
+    # built on first use, so each automaton folds its lambda moves once
+    _lambda_free = cached_property(lambda self: eliminate_lambda(self))
+
+    # The sweeps iterate tuples of moves faster than dict items.
+    _moves = cached_property(lambda self: tuple(zip(self._left, map(tuple, map(
+        dict.items, self._reads)))))
+
+    # each state with a lambda move -> its lambda closure
+    _closures = cached_property(lambda self: {
+        q: _closure(q, self._lam.__getitem__) for q, ts in enumerate(self._lam) if ts})
 
     @cached_property
-    def _lambda_free(self) -> LinearAutomaton:
-        # built on first use, so each automaton folds its lambda moves once
-        return eliminate_lambda(self) if self.has_lambda_moves else self
-
-    @cached_property
-    def _table(self) -> _Table:
-        # built on first use, so each automaton numbers its states once
-        names = sorted(self.states)
-        at = {q: i for i, q in enumerate(names)}
-        reads: list[dict[str, tuple[int, ...]]] = [{} for _ in names]
-        for (q, a), ts in self._cells.items():
-            reads[at[q]][a] = tuple(sorted(map(at.__getitem__, ts)))
-        lam = [r.pop(LAMBDA, ()) for r in reads]
+    def _back(self) -> dict[int, list[int]]:
+        # the other states whose lambda closure holds this one
         back: dict[int, list[int]] = {}
-        for q in (q for q, ts in enumerate(lam) if ts):
-            for t in _closure(q, lam.__getitem__) - {q}:
+        for q, closure in self._closures.items():
+            for t in closure - {q}:
                 back.setdefault(t, []).append(q)
-        left = [q in self.left_states for q in names]
-        return _Table(names, left, reads, [(lft, tuple(r.items())) for lft, r in zip(left, reads)],
-                      lam, back, [at[q] for q in sorted(self.initial)],
-                      frozenset(map(at.__getitem__, self.final)))
+        return back
 
     def targets(self, q: str, a: str) -> frozenset[str]:
-        # the plain dict: a lookup through the read-only view costs more
-        return self._cells.get((q, a), frozenset())
+        return self.delta.get((q, a), frozenset())
 
     def transitions(self) -> list[tuple[str, str, frozenset[str]]]:
         """Transition entries sorted by state, then symbol with lambda last."""
-        return sorted(((q, a, ts) for (q, a), ts in self.delta.items()),
-                      key=lambda e: (e[0], e[1] == LAMBDA, e[1]))
+        return [(q, a, ts) for (q, a), ts in self.delta.items()]
+
+
+def _fault(left: Iterable, right: Iterable, alphabet: Iterable, initial: Iterable,
+           final: Iterable, cells: Iterable[Sequence]) -> None:
+    """Raise the first of an automaton's faults, in one order so that the same
+    one is always reported: each state name, then each symbol, each sorted
+    with names that are not str first; a state of both classes; an undeclared
+    initial, then final, state; then cell by cell, in the order given, an
+    undeclared source, symbol or target.  Cells are as ``_named`` takes them."""
+    states = {*left, *right}
+    for q in sorted(states.union(initial, final), key=scan_order):
+        check_name(q, "state")
+    for a in sorted(alphabet, key=scan_order):
+        check_name(a, "alphabet symbol", single=True)
+    if overlap := set(left).intersection(right):
+        q = min(overlap)
+        raise ClassOverlap(f"state {q!r} declared in both classes", subject=q)
+    for pool, what in ((initial, "initial"), (final, "final")):
+        if missing := set(pool) - states:
+            q = min(missing)
+            raise UnknownState(f"{what} state {q!r} is not declared", subject=q)
+    for q, a, _, *targets in cells:
+        if q not in states:
+            raise UnknownState(f"transition from undeclared state {q!r}", subject=q)
+        if a != LAMBDA and a not in alphabet:
+            raise UnknownSymbol(f"transition on undeclared symbol {a!r}", subject=a)
+        if missing := set(targets) - states:
+            t = min(missing, key=scan_order)
+            raise UnknownState(f"transition into undeclared state {t!r}", subject=t)
+
+
+def _automaton(names: Sequence[str], left: Sequence[bool],
+               reads: Sequence[dict[str, tuple[int, ...]]], lam: Sequence[tuple[int, ...]],
+               alphabet: Iterable[str], initial: Sequence[int], final: Iterable[int],
+               fault: Callable[[], None] | None = None) -> LinearAutomaton:
+    """An automaton from rows, ``names`` in order, each row's reads in symbol
+    order, each cell and ``initial`` a tuple of distinct increasing numbers.
+    Every name-level check is made in one batch: valid state names,
+    one-character symbols, each read on a symbol of the alphabet.  On a fault
+    ``fault`` reports it, by default ``_fault`` over the names the rows spell.
+    """
+    alphabet = frozenset(alphabet)
+    if not (names_ok(names) and names_ok(alphabet, single=True)
+            and alphabet.issuperset(chain.from_iterable(reads))):
+        (fault or partial(_fault, names, (), alphabet, (), (),
+                          [(names[q], a, "->") for q, r in enumerate(reads) for a in r]))()
+    m = object.__new__(LinearAutomaton)
+    m.__dict__.update(_names=tuple(names), _left=tuple(left), _reads=tuple(reads),
+                      _lam=tuple(lam), alphabet=alphabet, _initial=tuple(initial),
+                      _final=frozenset(final))
+    return m
+
+
+def _named(left: Iterable[str], right: Iterable[str], alphabet: Iterable[str],
+           initial: Iterable[str], final: Iterable[str],
+           cells: Sequence[Sequence[str]]) -> LinearAutomaton:
+    """An automaton from names, each cell a transition line's tokens: a
+    source, a symbol (LAMBDA for a lambda move), ``->`` and targets.  A source
+    and symbol may come in several cells."""
+    left, right = [*left], [*right]
+    pools = left_set, right_set, alphabet, initial, final = tuple(map(
+        frozenset, (left, right, alphabet, initial, final)))
+    fault = partial(_fault, *pools, cells)
+    states = left_set | right_set
+    if not (left_set.isdisjoint(right_set) and initial | final <= states):
+        fault()
+    try:
+        # sorted declarations sort in linear time
+        names = sorted(left + right if len(states) == len(left) + len(right) else states)
+        at = dict(zip(names, range(len(names))))
+        reads: list[dict[str, tuple[int, ...]]] = [{} for _ in names]
+        for c in cells:  # lambda moves go under LAMBDA for now
+            ts = (at[c[3]],) if len(c) == 4 else tuple(sorted(set(map(at.__getitem__, c[3:]))))
+            row = reads[at[c[0]]]
+            row[c[1]] = tuple(sorted({*row[c[1]], *ts})) if c[1] in row else ts
+    except (TypeError, KeyError):  # a name that is not a str, or one not declared
+        fault()
+    lam = [r.pop(LAMBDA, ()) for r in reads]
+    return _automaton(names, [q in left_set for q in names],
+                      [dict(sorted(r.items())) if len(r) > 1 else r for r in reads], lam,
+                      alphabet, sorted(map(at.__getitem__, initial)),
+                      map(at.__getitem__, final), fault)
 
 
 def validate_automaton(*, left: Iterable[str], right: Iterable[str],
@@ -144,10 +201,13 @@ def validate_automaton(*, left: Iterable[str], right: Iterable[str],
                        initial: Iterable[str], final: Iterable[str],
                        ) -> LinearAutomaton:
     """Build a LinearAutomaton, warning when the start set is empty."""
-    m = LinearAutomaton(left, right, alphabet, delta, initial, final)
-    if not m.initial:
+    return _started(LinearAutomaton(left, right, alphabet, delta, initial, final))
+
+
+def _started(m: LinearAutomaton) -> LinearAutomaton:
+    if not m._initial:  # the warning points at the caller's caller
         warnings.warn("automaton has no start states and accepts nothing",
-                      EmptyInitialSetWarning, stacklevel=2)
+                      EmptyInitialSetWarning, stacklevel=3)
     return m
 
 
@@ -196,8 +256,8 @@ def step(m: LinearAutomaton, ident: InstantaneousDescription, word: str,
     return out
 
 
-def _forced(t: _Table, word: str, path: list[tuple[str, int, int]] | None,
-            ) -> tuple[list[int], int, int] | None:
+def _forced(m: LinearAutomaton, word: str, path: list[tuple[str, int, int]] | None,
+            ) -> tuple[Sequence[int], int, int] | None:
     """Step a lone start configuration while its next move is forced.
 
     Appends each (state, lo, hi) stepped from to ``path`` unless it is None.
@@ -206,10 +266,10 @@ def _forced(t: _Table, word: str, path: list[tuple[str, int, int]] | None,
     at level n or at the first branch, a node with a lambda move or two or
     more read targets.  None means the run halted with no move before level n.
     """
-    if len(t.initial) != 1:
-        return t.initial, 0, 0
-    names, reads, left, lam = t.names, t.reads, t.left, t.lam
-    (q,), n, lo, hi = t.initial, len(word), 0, len(word)
+    if len(m._initial) != 1:
+        return m._initial, 0, 0
+    names, reads, left, lam = m._names, m._reads, m._left, m._lam
+    (q,), n, lo, hi = m._initial, len(word), 0, len(word)
     while lo < hi:
         ts = reads[q].get(word[lo] if left[q] else word[hi - 1], ())
         if len(ts) != 1 or lam[q]:
@@ -236,13 +296,13 @@ def accepts(m: LinearAutomaton, word: str) -> bool:
     the word with no big int at all.
     """
     _check_word(m, word)
-    t = m._lambda_free._table
+    t = m._lambda_free
     if (at := _forced(t, word, None)) is None:
         return False
     (entries, lo, top), n = at, len(word)
     if top == n:
-        return not t.final.isdisjoint(entries)
-    masks, moves = _symbol_masks(m, word), t.moves
+        return not t._final.isdisjoint(entries)
+    masks, moves = _symbol_masks(m, word), t._moves
     level = dict.fromkeys(entries, 1 << lo)
     for k in range(top, n):
         if not level:
@@ -257,10 +317,10 @@ def accepts(m: LinearAutomaton, word: str) -> bool:
                     for u in targets:
                         nxt[u] = nxt.get(u, 0) | moved
         level = nxt
-    return not t.final.isdisjoint(level)
+    return not t._final.isdisjoint(level)
 
 
-def _live_levels(t: _Table, word: str, masks: dict[str, int], top: int,
+def _live_levels(m: LinearAutomaton, word: str, masks: dict[str, int], top: int,
                  ) -> Iterator[dict[int, int]]:
     """Levels ``top`` to n of a backward sweep, in increasing order: bit lo
     of level k's ``[q]`` is set when (q, lo, n - k + lo) has an accepting run.
@@ -274,17 +334,17 @@ def _live_levels(t: _Table, word: str, masks: dict[str, int], top: int,
     ones are rebuilt from the upper one as the search reaches them
     (Hirschberg's linear-space idea).
     """
-    n = len(word)
-    into: list[list[tuple[int, bool, int]]] = [[] for _ in t.names]  # (source, left, mask)
-    for q, (left, cells) in enumerate(t.moves):
+    n, back = len(word), m._back
+    into: list[list[tuple[int, bool, int]]] = [[] for _ in m._names]  # (source, left, mask)
+    for q, (left, cells) in enumerate(m._moves):
         for a, targets in cells:
             for u in targets if masks[a] else ():
                 into[u].append((q, left, masks[a]))
 
     def closed(live: dict[int, int]) -> dict[int, int]:
         # back lists whole lambda closures, so one pass closes the level
-        for u, s in list(live.items()) if t.back else ():
-            for q in t.back.get(u, ()):
+        for u, s in list(live.items()) if back else ():
+            for q in back.get(u, ()):
                 live[q] = live.get(q, 0) | s
         return live
 
@@ -297,7 +357,7 @@ def _live_levels(t: _Table, word: str, masks: dict[str, int], top: int,
         return closed(pre)
 
     gap = math.isqrt(n - top - 1) + 1 if n > top else 1
-    live = closed(dict.fromkeys(t.final, (2 << n) - 1))
+    live = closed(dict.fromkeys(m._final, (2 << n) - 1))
     kept = {n: live}
     for k in reversed(range(top, n)):
         if not live:
@@ -331,12 +391,12 @@ def _search(m: LinearAutomaton, word: str) -> list[tuple[str, int, int]] | None:
     plain depth-first search returns.
     """
     _check_word(m, word)
-    t, n, run = m._table, len(word), []
-    names, left, reads, lam = t.names, t.left, t.reads, t.lam
-    if (at := _forced(t, word, run)) is None:
+    n, run = len(word), []
+    names, left, reads, lam = m._names, m._left, m._reads, m._lam
+    if (at := _forced(m, word, run)) is None:
         return None
     entries, lo, k = at
-    levels = _live_levels(t, word, _symbol_masks(m, word), k)
+    levels = _live_levels(m, word, _symbol_masks(m, word), k)
     here = next(levels, {})
     if (entry := next((q for q in entries if here.get(q, 0) >> lo & 1), None)) is None:
         return None
@@ -344,7 +404,7 @@ def _search(m: LinearAutomaton, word: str) -> list[tuple[str, int, int]] | None:
     def leave(u: int) -> int | None:
         # u's first live read target, or -1 when u is final at level n
         if k == n:
-            return -1 if u in t.final else None
+            return -1 if u in m._final else None
         after = lo + left[u]
         for v in reads[u].get(word[lo] if left[u] else word[hi - 1], ()):
             if ahead.get(v, 0) >> after & 1:
@@ -386,8 +446,9 @@ def trace(m: LinearAutomaton, word: str) -> list[tuple[str, str]] | None:
 def lambda_closure(m: LinearAutomaton, q: str) -> frozenset[str]:
     """States reachable from ``q`` by lambda moves alone (including ``q``)."""
     if q not in m.states:
-        raise UnknownState(f"no state named {q!r}")
-    return frozenset(_closure(q, lambda u: m.targets(u, LAMBDA)))
+        raise UnknownState(f"no state named {q!r}", subject=q)
+    i = bisect_left(m._names, q)
+    return frozenset(map(m._names.__getitem__, m._closures.get(i, (i,))))
 
 
 def eliminate_lambda(m: LinearAutomaton) -> LinearAutomaton:
@@ -397,17 +458,21 @@ def eliminate_lambda(m: LinearAutomaton) -> LinearAutomaton:
     into sources: the reading direction belongs to the state performing the
     read, and a lambda move may cross between the two classes.
     """
-    closures = {q: lambda_closure(m, q) for q, a in m.delta if a == LAMBDA}
-    delta = {(q, a): frozenset().union(*(closures.get(t, (t,)) for t in targets))
-             for (q, a), targets in m.delta.items() if a != LAMBDA}
-    initial = frozenset().union(*(closures.get(q, (q,)) for q in m.initial))
-    return LinearAutomaton(m.left_states, m.right_states, m.alphabet,
-                           delta, initial, m.final)
+    if not (closures := m._closures):
+        return m
+    def fold(ts: tuple[int, ...]) -> tuple[int, ...]:  # each state with its closure
+        return tuple(sorted(set().union(*(closures.get(t, (t,)) for t in ts))))
+
+    plain = closures.keys().isdisjoint  # no state here has a lambda move
+    reads = [r if plain(chain.from_iterable(r.values()))
+             else {a: ts if plain(ts) else fold(ts) for a, ts in r.items()} for r in m._reads]
+    return _automaton(m._names, m._left, reads, ((),) * len(reads), m.alphabet,
+                      fold(m._initial), m._final)
 
 
 def is_deterministic(m: LinearAutomaton) -> bool:
     """No lambda moves and at most one target per state and symbol."""
-    return not m.has_lambda_moves and all(len(ts) <= 1 for ts in m.delta.values())
+    return not m.has_lambda_moves and all(len(ts) <= 1 for r in m._reads for ts in r.values())
 
 
 def _require_lambda_free(m: LinearAutomaton, op: str) -> None:
@@ -418,17 +483,14 @@ def _require_lambda_free(m: LinearAutomaton, op: str) -> None:
 def is_even(m: LinearAutomaton) -> bool:
     """True when every transition crosses between the two state classes."""
     _require_lambda_free(m, "is_even")
-    for (q, _), targets in m.delta.items():
-        opposite = m.right_states if q in m.left_states else m.left_states
-        if not targets <= opposite:
-            return False
-    return True
+    left = m._left
+    return all(left[t] != left[q] for q, r in enumerate(m._reads) for ts in r.values() for t in ts)
 
 
 def ndeg(m: LinearAutomaton) -> int:
     """Total transition-target count minus the number of non-empty cells."""
     _require_lambda_free(m, "ndeg")
-    return sum(len(ts) - 1 for ts in m.delta.values())
+    return sum(len(ts) - 1 for r in m._reads for ts in r.values())
 
 
 class Homogeneity(enum.Enum):
@@ -459,16 +521,16 @@ def _subset_table(m: LinearAutomaton) -> _Subsets:
     # empty union is skipped, matching a partial transition function on the
     # determinized side.
     _require_lambda_free(m, "subset construction")
-    table = m._table
-    targets = {a: [0] * len(table.names) for a in sorted(m.alphabet)}
-    for q, (_, cells) in enumerate(table.moves):
-        for a, ts in cells:
+    names = m._names
+    targets = {a: [0] * len(names) for a in sorted(m.alphabet)}
+    for q, reads in enumerate(m._reads):
+        for a, ts in reads.items():
             targets[a][q] = sum(1 << u for u in ts)
-    left = sum(1 << q for q, lft in enumerate(table.left) if lft)
-    right, final = (1 << len(table.names)) - 1 - left, sum(1 << q for q in table.final)
+    left = sum(1 << q for q, lft in enumerate(m._left) if lft)
+    right, final = (1 << len(names)) - 1 - left, sum(1 << q for q in m._final)
     t = _Subsets([], [], [], [])
     all_left, all_right, mixed = Homogeneity  # enum member lookups are slow
-    masks = [1 << q for q in table.initial]
+    masks = [1 << q for q in m._initial]
     number = {x: k for k, x in enumerate(masks)}
     for k, x in enumerate(masks):  # the loop sees subsets appended as they are found
         members, rest = [], x
@@ -476,7 +538,7 @@ def _subset_table(m: LinearAutomaton) -> _Subsets:
             low = rest & -rest
             members.append(low.bit_length() - 1)
             rest ^= low
-        t.members.append(tuple(map(table.names.__getitem__, members)))
+        t.members.append(tuple(map(names.__getitem__, members)))
         t.homogeneity.append(all_left if not x & right else
                              all_right if not x & left else mixed)
         t.final.append(x & final != 0)
@@ -517,7 +579,7 @@ def mixed_subset_witness(m: LinearAutomaton) -> tuple[tuple[str, ...], str | Non
     if not mixed:
         return None
     target = min(mixed, key=t.members.__getitem__)
-    read = {k: ("", "") for k in range(len(m.initial))}  # subset -> (left, right) reads
+    read = {k: ("", "") for k in range(len(m._initial))}  # subset -> (left, right) reads
     queue = list(read)  # the start singletons are numbered first
     for k in queue:
         if k == target:
@@ -540,28 +602,37 @@ def determinize(m: LinearAutomaton) -> LinearAutomaton:
         raise NotDeterminizable(f"subset mixes both classes: {worst}")
     pool = NamePool()
     names = [pool.fresh("_".join(x)) for x in t.members]
-    left = {q for q, h in zip(names, t.homogeneity) if h is Homogeneity.ALL_LEFT}
-    delta = {(names[k], a): (names[y],) for k, succ in enumerate(t.succ)
-             for a, y in succ.items()}
-    final = {q for q, f in zip(names, t.final) if f}
-    # the start singletons are numbered first
-    return LinearAutomaton(frozenset(left), frozenset(names) - left, m.alphabet,
-                           delta, frozenset(names[:len(m.initial)]), frozenset(final))
+    # renumbered in name order here, so that each row is built once
+    order = sorted(range(len(names)), key=names.__getitem__)
+    new = sorted(range(len(names)), key=order.__getitem__)
+    return _automaton([names[k] for k in order],
+                      [t.homogeneity[k] is Homogeneity.ALL_LEFT for k in order],
+                      [{a: (new[y],) for a, y in t.succ[k].items()} for k in order],
+                      ((),) * len(names), m.alphabet,
+                      # the start singletons are numbered first
+                      sorted(new[:len(m._initial)]), compress(new, t.final))
 
 
-def _move_rules(m: LinearAutomaton) -> dict[str, list[tuple[str, str | None, str]]]:
-    """Every move read as its linear production, keyed by source state.
+def _move_rules(m: LinearAutomaton, names: Sequence[str] | None = None,
+                ) -> dict[str, list[tuple[str, str | None, str]]]:
+    """Every move read as its linear production, keyed by source state, each
+    state named ``names[q]`` (by default its own name).
 
     A left read q -a-> t is q -> a t, a right read q -> t a, a lambda move
     the unit production q -> t (LAMBDA is the empty flank), and a final
     state q erases.  Rules are (left flank, target or None, right flank).
     """
+    names, lam = names or m._names, m._lam
     rules: dict[str, list[tuple[str, str | None, str]]] = {}
-    for (q, a), targets in m.delta.items():
-        left, right = (a, "") if q in m.left_states else ("", a)
-        rules.setdefault(q, []).extend((left, t, right) for t in targets)
-    for q in m.final:
-        rules.setdefault(q, []).append(("", None, ""))
+    for q, v, left, reads in zip(range(len(names)), names, m._left, m._reads):
+        rs = [(a, names[t], "") if left else ("", names[t], a)
+              for a, ts in reads.items() for t in ts]
+        if lam[q]:
+            rs += [("", names[t], "") for t in lam[q]]
+        if q in m._final:
+            rs.append(("", None, ""))
+        if rs:
+            rules[v] = rs
     return rules
 
 
@@ -573,7 +644,7 @@ def enumerate_accepted(m: LinearAutomaton, max_len: int) -> list[str]:
     tested, and only lengths at which a state derives something cost work,
     so sparse languages come out fast.
     """
-    return _enumerate_words(_move_rules(m), m.initial, max_len)
+    return _enumerate_words(_move_rules(m), map(m._names.__getitem__, m._initial), max_len)
 
 
 def class_swapped(m: LinearAutomaton) -> LinearAutomaton:
@@ -581,4 +652,5 @@ def class_swapped(m: LinearAutomaton) -> LinearAutomaton:
 
     The result accepts exactly the reversals of the words ``m`` accepts.
     """
-    return replace(m, left_states=m.right_states, right_states=m.left_states)
+    return _automaton(m._names, [not left for left in m._left], m._reads, m._lam,
+                      m.alphabet, m._initial, m._final)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .automaton import LAMBDA, LinearAutomaton, _move_rules, is_even, validate_automaton
+from .automaton import LinearAutomaton, _automaton, _move_rules, is_deterministic, is_even
 from .errors import NotDeterministicLinear, NotEven
 from .grammar import (
     LinearGrammar,
@@ -29,24 +29,39 @@ def _slnf_to_nla(g: LinearGrammar, sink_side: str | None) -> LinearAutomaton:
     The sink performs no reads, so its side is semantically inert; the even
     pipeline puts it on the right so the transition diagram stays bipartite.
     """
-    right = {v for v, c in g._classes.items() if c is VariableClass.LEFT_LINEAR}
-    left = set(g._variables - right)
-    final = set()
+    # Heads come in name order, so sorting the names is near linear.  Each
+    # head's bodies come in order too, so a cell's targets come in order but
+    # for the sink, and a row's symbols but for a right state's.
     sink = NamePool(g.symbol_names()).fresh("sink") if sink_side else None
+    names = sorted([*g._rules, *g._variables.difference(g._rules), *([sink] if sink else ())])
+    at = dict(zip(names, range(len(names))))
+    left = [g._classes.get(v) is not VariableClass.LEFT_LINEAR for v in names]
+    reads: list[dict[str, tuple[int, ...]]] = [{} for _ in names]
+    lam: list[tuple[int, ...]] = [()] * len(names)
+    final = []
     if sink:
-        (left if sink_side == "left" else right).add(sink)
-        final.add(sink)
-    delta: dict[tuple[str, str], set[str]] = {}
+        left[at[sink]] = sink_side == "left"
+        final.append(at[sink])
     for v, rules in g._rules.items():
+        q, row, units, sunk = at[v], reads[at[v]], [], []
         for x, u, y in rules:
-            if u is None and not x:
-                final.add(v)
+            if u is None:
+                if x:
+                    row[x] = (*row.get(x, ()), at[sink])
+                    sunk.append(x)
+                else:
+                    final.append(q)
+            elif x or y:
+                a = x + y
+                row[a] = (*row[a], at[u]) if a in row else (at[u],)
             else:
-                # a unit body's empty flanks are the lambda symbol
-                sym, target = (x, sink) if u is None else (x + y or LAMBDA, u)
-                delta.setdefault((v, sym), set()).add(target)
-    return validate_automaton(left=left, right=right, alphabet=g._terminals,
-                              delta=delta, initial={g._start}, final=final)
+                units.append(at[u])
+        for x in sunk:
+            row[x] = tuple(sorted(row[x]))
+        if not left[q] and len(row) > 1:
+            reads[q] = dict(sorted(row.items()))
+        lam[q] = tuple(units)
+    return _automaton(names, left, reads, lam, g._terminals, (at[g._start],), final)
 
 
 def grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
@@ -61,17 +76,18 @@ def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     ``_move_rules``.  Several start states are merged by copying their
     productions onto a fresh start variable.
     """
-    names = NamePool(m.alphabet)
-    var_of = {q: names.fresh(q) for q in sorted(m.states)}
-    rules = {var_of[q]: [(x, None if t is None else var_of[t], y) for x, t, y in rs]
-             for q, rs in _move_rules(m).items()}
-    variables = set(var_of.values())
-    if len(m.initial) == 1:
-        start = var_of[next(iter(m.initial))]
+    var = m._names
+    if not m.alphabet.isdisjoint(var):  # else each state keeps its name
+        pool = NamePool(m.alphabet)
+        var = [pool.fresh(q) for q in var]
+    rules = _move_rules(m, var)
+    variables = set(var)
+    if len(m._initial) == 1:
+        start = var[m._initial[0]]
     else:
-        start = names.fresh("S")
+        start = NamePool(m.alphabet | variables).fresh("S")
         variables.add(start)
-        rules[start] = [r for q in m.initial for r in rules.get(var_of[q], ())]
+        rules[start] = [r for q in m._initial for r in rules.get(var[q], ())]
     return _grammar(variables, m.alphabet, start, rules)
 
 
@@ -87,7 +103,7 @@ def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
             assert (x, u, y) == ("", None, "") or u is not None and len(x + y) == 1, \
                 f"unexpected body shape: {_line(v, _body((x, u, y)))}"
     m = _slnf_to_nla(gh, None)
-    assert all(len(ts) == 1 for ts in m.delta.values())
+    assert is_deterministic(m)
     return m
 
 

@@ -26,7 +26,7 @@ from .errors import (
     StartNotDeclared,
     UnknownSymbol,
 )
-from .naming import EPS, NamePool, check_name, names_ok
+from .naming import EPS, NamePool, check_name, names_ok, scan_order
 
 
 class SymbolKind(enum.Enum):
@@ -188,10 +188,21 @@ class LinearGrammar:
 
     def productions_of(self, head: Symbol) -> tuple[Production, ...]:
         rules = self._rules.get(head.name, ()) if head.kind is _VARIABLE else ()
-        return tuple(Production(head, tuple(map(self._symbol.get, _body(r)))) for r in rules)
+        return self._views([(head, rules)])
 
     def sorted_productions(self) -> tuple[Production, ...]:
-        return tuple(p for v in self._rules for p in self.productions_of(self._symbol[v]))
+        return self._views((self._symbol[v], rules) for v, rules in self._rules.items())
+
+    def _views(self, groups: Iterable[tuple[Symbol, Sequence[Rule]]]) -> tuple[Production, ...]:
+        # the rules are checked, so no Production checks itself again
+        out, symbol = [], self._symbol.get
+        for head, rules in groups:
+            for x, u, y in rules:
+                _set(p := object.__new__(Production), "head", head)
+                _set(p, "body", tuple(map(symbol, x if u is None else (*x, u, *y))))
+                _set(p, "variable_index", None if u is None else len(x))
+                out.append(p)
+        return tuple(out)
 
     def sorted_variables(self) -> tuple[Symbol, ...]:
         rest = sorted(self._variables - {self._start})
@@ -205,10 +216,11 @@ def _fault(variables: Collection[str], terminals: Collection[str], start: str,
            undeclared: set[str], misfiled: Mapping[tuple[str, str], SymbolKind] = {}) -> None:
     """Raise the first of a grammar's name faults, in one order so that the same
     one is always reported: each declared name with its kind, variables then
-    terminals, each sorted; a name of both kinds; the start; the least
-    undeclared name.  ``misfiled`` maps (name, role) to a symbol's wrong kind."""
+    terminals, each sorted with names that are not str first; a name of both
+    kinds; the start; the least undeclared name.  ``misfiled`` maps (name,
+    role) to a symbol's wrong kind."""
     for kind, pool in ((_VARIABLE, variables), (_TERMINAL, terminals)):
-        for n in sorted(pool):
+        for n in sorted(pool, key=scan_order):
             check_name(n, kind.value, single=kind is _TERMINAL)
             if (n, kind.value) in misfiled:
                 raise UnknownSymbol(f"{n!r} listed as {kind.value} "
@@ -219,7 +231,7 @@ def _fault(variables: Collection[str], terminals: Collection[str], start: str,
     if start not in variables or (start, "start") in misfiled:
         raise StartNotDeclared(f"start {start!r} is not a declared variable", subject=start)
     if undeclared:
-        name = min(undeclared)
+        name = min(undeclared, key=scan_order)
         raise UnknownSymbol(f"undeclared symbol {name!r} in a production", subject=name)
 
 

@@ -8,10 +8,10 @@ exactly k two-target transition cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
-from .automaton import LinearAutomaton, _require_lambda_free, ndeg, validate_automaton
+from .automaton import LinearAutomaton, _named, _require_lambda_free, ndeg
 from .errors import SymbolNotInAlphabet
 from .naming import NamePool
 
@@ -21,12 +21,9 @@ def build_lk_automaton(k: int) -> LinearAutomaton:
     if k < 0:
         raise ValueError("k must be non-negative")
     chain = [f"q{i}" for i in range(k + 1)]
-    delta: dict[tuple[str, str], set[str]] = {("p1", "a"): {"q0"}}
-    for i in range(k):
-        delta[(chain[i], "b")] = {chain[i + 1], "p1"}
-    delta[(chain[k], "b")] = {"p1"}
-    return validate_automaton(left=["p1"], right=chain, alphabet=["a", "b"],
-                              delta=delta, initial=["q0"], final=["q0"])
+    cells = [("p1", "a", "->", "q0"), (chain[k], "b", "->", "p1"),
+             *((q, "b", "->", t, "p1") for q, t in zip(chain, chain[1:]))]
+    return _named(["p1"], chain, "ab", ["q0"], ["q0"], cells)
 
 
 def _ab_counts(word: str) -> tuple[int, int] | None:
@@ -73,9 +70,9 @@ def pad_ndeg(m: LinearAutomaton, symbol: str) -> LinearAutomaton:
     _require_lambda_free(m, "pad_ndeg")
     names = NamePool(m.states)
     x1, x2 = names.fresh("x_1"), names.fresh("x_2")
-    delta = dict(m.delta)
-    delta[(x1, symbol)] = frozenset({x1, x2})
-    return replace(m, left_states=m.left_states | {x1, x2}, delta=delta)
+    # the fresh names renumber the states, so the constructor builds the rows
+    return LinearAutomaton(m.left_states | {x1, x2}, m.right_states, m.alphabet,
+                           {**m.delta, (x1, symbol): {x1, x2}}, m.initial, m.final)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,12 @@ def check_name(name: str, role: str = "symbol", single: bool = False) -> str:
     return name
 
 
+def scan_order(name) -> tuple:
+    """Sort key for a scan over names: names that are not str come first,
+    so that ``check_name`` rejects them before any comparison fails."""
+    return (True, name) if isinstance(name, str) else (False, repr(name))
+
+
 def names_ok(names: Collection[str], single: bool = False) -> bool:
     """True when ``check_name`` would pass every name, with no Python-level
     call per name."""

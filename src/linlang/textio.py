@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 
-from .automaton import LAMBDA, LinearAutomaton, validate_automaton
+from .automaton import LAMBDA, LinearAutomaton, _named, _started
 from .errors import LinlangError, NotLinear, ParseError, StartNotDeclared
 from .grammar import LinearGrammar, Production, SymbolKind, _body, _line, validate_grammar
 from .naming import EPS
@@ -145,48 +146,54 @@ def serialize_grammar(g: LinearGrammar) -> str:
 
 # --- automaton format ---
 
-_AUTO_DIRECTIVES = ("alphabet", "left", "right", "initial", "final")
+_AUTO_DIRECTIVES = ("left", "right", "alphabet", "initial", "final")
 
 
 def parse_automaton(text: str) -> LinearAutomaton:
     """Parse the automaton format; diagnostics carry a source span."""
     lines = _lines(text, "automaton")
     pools: dict[str, list[str]] = {d: [] for d in _AUTO_DIRECTIVES}
-    delta: dict[tuple[str, str], list[str]] = {}
+    cells: list[list[str]] = []
     for lineno, toks in lines:
         word = toks[0]
-        if toks[2:3] == ["->"]:
+        if len(toks) > 2 and toks[2] == "->":
             # transition lines win over directives (see parse_grammar)
             if len(toks) < 4:
                 raise ParseError("transition needs at least one target state",
                                  span=_span(text, lineno, 0))
-            sym = LAMBDA if toks[1] == EPS else toks[1]
-            delta.setdefault((word, sym), []).extend(toks[3:])
+            cells.append(toks if toks[1] != EPS else [word, LAMBDA, *toks[2:]])
         elif word in pools:
             pools[word] += toks[1:]
         else:
             raise ParseError(f"expected a directive or transition, got {word!r}",
                              span=_span(text, lineno, 0))
     try:
-        return validate_automaton(left=pools["left"], right=pools["right"],
-                                  alphabet=pools["alphabet"], delta=delta,
-                                  initial=pools["initial"], final=pools["final"])
+        return _started(_named(*pools.values(), cells))
     except LinlangError as exc:
         exc.span = _locate(text, lines, exc.subject, 2, (), last_declaration=False)
         raise
 
 
+def _cells(m: LinearAutomaton):
+    """(state, symbol as written, target names) per cell, in canonical order."""
+    names = m._names
+    for q, reads, lam in zip(names, m._reads, m._lam):
+        for a, ts in reads.items():
+            yield q, a, map(names.__getitem__, ts)
+        if lam:
+            yield q, EPS, map(names.__getitem__, lam)
+
+
 def serialize_automaton(m: LinearAutomaton) -> str:
     """Canonical text: sorted directives, one transition line per cell."""
+    names, left = m._names, m._left
     out = ["automaton"]
-    out.append(" ".join(["alphabet"] + sorted(m.alphabet)).rstrip())
-    out.append(" ".join(["left"] + sorted(m.left_states)).rstrip())
-    out.append(" ".join(["right"] + sorted(m.right_states)).rstrip())
-    out.append(" ".join(["initial"] + sorted(m.initial)).rstrip())
-    out.append(" ".join(["final"] + sorted(m.final)).rstrip())
-    for q, a, targets in m.transitions():
-        sym = EPS if a == LAMBDA else a
-        out.append(f"{q} {sym} -> " + " ".join(sorted(targets)))
+    for word, pool in (("alphabet", sorted(m.alphabet)), ("left", compress(names, left)),
+                       ("right", [q for q, lft in zip(names, left) if not lft]),
+                       ("initial", map(names.__getitem__, m._initial)),
+                       ("final", map(names.__getitem__, sorted(m._final)))):
+        out.append(" ".join([word, *pool]))
+    out += (f"{q} {a} -> {' '.join(ts)}" for q, a, ts in _cells(m))
     return "\n".join(out) + "\n"
 
 
@@ -196,21 +203,15 @@ def to_dot(m: LinearAutomaton) -> str:
     """Graphviz text: circles for left states, boxes for right states,
     double borders on accepting states, point-node arrows into start states.
     """
+    names, start = m._names, [m._names[q] for q in m._initial]
     lines = ["digraph {", "  rankdir=LR;"]
-    for q in sorted(m.initial):
-        lines.append(f"  __start_{q} [shape=point, style=invis];")
-    for q in sorted(m.states):
-        if q in m.left_states:
-            shape = "doublecircle" if q in m.final else "circle"
-            lines.append(f"  {q} [shape={shape}];")
+    lines += (f"  __start_{q} [shape=point, style=invis];" for q in start)
+    for q, (name, left) in enumerate(zip(names, m._left)):
+        if left:
+            lines.append(f"  {name} [shape={'doublecircle' if q in m._final else 'circle'}];")
         else:
-            extra = ", peripheries=2" if q in m.final else ""
-            lines.append(f"  {q} [shape=box{extra}];")
-    for q in sorted(m.initial):
-        lines.append(f"  __start_{q} -> {q};")
-    for q, a, targets in m.transitions():
-        label = EPS if a == LAMBDA else a
-        for t in sorted(targets):
-            lines.append(f'  {q} -> {t} [label="{label}"];')
+            lines.append(f"  {name} [shape=box{', peripheries=2' if q in m._final else ''}];")
+    lines += (f"  __start_{q} -> {q};" for q in start)
+    lines += (f'  {q} -> {t} [label="{a}"];' for q, a, ts in _cells(m) for t in ts)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from linlang import (
     Symbol,
     SymbolKind,
     VariableClass,
+    classify_variable,
     is_even,
     is_even_linear,
     step,
@@ -27,7 +28,7 @@ from linlang import (
     validate_grammar,
     variable,
 )
-from linlang.automaton import LAMBDA, _move_rules
+from linlang.automaton import LAMBDA, lambda_closure
 from linlang.convert import _slnf_to_nla
 from linlang.errors import (
     DuplicateSymbol,
@@ -35,6 +36,7 @@ from linlang.errors import (
     NotEven,
     NotEvenLinear,
     StartNotDeclared,
+    SymbolNotInAlphabet,
     UnknownSymbol,
 )
 from linlang.naming import NamePool, check_name
@@ -339,10 +341,15 @@ def _error(run) -> tuple | None:
     return None
 
 
+def non_str_first(name) -> tuple:
+    """Sort key of the per-name loops: names that are not str first, by repr."""
+    return (1, name) if isinstance(name, str) else (0, repr(name))
+
+
 def _check_declared(variables, terminals) -> None:
     """The sorted per-name loop over a grammar's declared symbols."""
     for kind, pool in ((SymbolKind.VARIABLE, variables), (SymbolKind.TERMINAL, terminals)):
-        for s in sorted(pool, key=lambda s: s.name):
+        for s in sorted(pool, key=lambda s: non_str_first(s.name)):
             check_name(s.name, kind.value, single=kind is SymbolKind.TERMINAL)
             if s.kind is not kind:
                 raise UnknownSymbol(f"{s.name!r} listed as {kind.value} "
@@ -393,9 +400,9 @@ def reference_automaton_name_error(states, alphabet) -> tuple | None:
     """(type, message, subject) that a sorted per-name loop raises first over an
     automaton's states and symbols, or None when every name passes."""
     def run():
-        for q in sorted(states):
+        for q in sorted(states, key=non_str_first):
             check_name(q, "state")
-        for a in sorted(alphabet):
+        for a in sorted(alphabet, key=non_str_first):
             check_name(a, "alphabet symbol", single=True)
     return _error(run)
 
@@ -557,7 +564,7 @@ def reference_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
     var_of = {q: variable(names.fresh(q)) for q in sorted(m.states)}
     flank = {a: (terminal(a),) for a in m.alphabet} | {LAMBDA: ()}
     prods = [Production(var_of[q], () if t is None else (*flank[x], var_of[t], *flank[y]))
-             for q, rules in _move_rules(m).items() for x, t, y in rules]
+             for q, rules in reference_move_rules(m).items() for x, t, y in rules]
     variables = set(var_of.values())
     if len(m.initial) == 1:
         start = var_of[next(iter(m.initial))]
@@ -587,3 +594,150 @@ def reference_even_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
             prods.update(Production(p.head, x.body + (body[1],))
                          for x in by_head.get(body[0], ()))
     return LinearGrammar(mid.variables, mid.terminals, mid.start, frozenset(prods))
+
+
+# --- dict-level references for the row-level automaton passes ---
+#
+# Each reads an automaton through its name-level views (``delta``, the state
+# sets) and builds one through the public constructor from a dict of cells,
+# as the library did before it held automata as numbered rows.
+
+
+def reference_serialize_automaton(m: LinearAutomaton) -> str:
+    out = ["automaton"]
+    out.append(" ".join(["alphabet"] + sorted(m.alphabet)).rstrip())
+    out.append(" ".join(["left"] + sorted(m.left_states)).rstrip())
+    out.append(" ".join(["right"] + sorted(m.right_states)).rstrip())
+    out.append(" ".join(["initial"] + sorted(m.initial)).rstrip())
+    out.append(" ".join(["final"] + sorted(m.final)).rstrip())
+    cells = sorted(m.delta.items(), key=lambda e: (e[0][0], e[0][1] == LAMBDA, e[0][1]))
+    for (q, a), targets in cells:
+        out.append(f"{q} {'eps' if a == LAMBDA else a} -> " + " ".join(sorted(targets)))
+    return "\n".join(out) + "\n"
+
+
+def reference_parse_automaton(text: str) -> LinearAutomaton:
+    """Directives and transition lines read into one dict of cells."""
+    pools: dict[str, list[str]] = {d: [] for d in ("alphabet", "left", "right", "initial", "final")}
+    delta: dict[tuple[str, str], list[str]] = {}
+    for line in text.splitlines()[1:]:
+        toks = line.split("#", 1)[0].split()
+        if toks[2:3] == ["->"]:
+            a = LAMBDA if toks[1] == "eps" else toks[1]
+            delta.setdefault((toks[0], a), []).extend(toks[3:])
+        elif toks:
+            pools[toks[0]] += toks[1:]
+    return LinearAutomaton(pools["left"], pools["right"], pools["alphabet"], delta,
+                           pools["initial"], pools["final"])
+
+
+def reference_to_dot(m: LinearAutomaton) -> str:
+    lines = ["digraph {", "  rankdir=LR;"]
+    for q in sorted(m.initial):
+        lines.append(f"  __start_{q} [shape=point, style=invis];")
+    for q in sorted(m.states):
+        if q in m.left_states:
+            lines.append(f"  {q} [shape={'doublecircle' if q in m.final else 'circle'}];")
+        else:
+            lines.append(f"  {q} [shape=box{', peripheries=2' if q in m.final else ''}];")
+    for q in sorted(m.initial):
+        lines.append(f"  __start_{q} -> {q};")
+    for (q, a), targets in sorted(m.delta.items(), key=lambda e: (e[0][0], e[0][1] == LAMBDA,
+                                                                  e[0][1])):
+        for t in sorted(targets):
+            lines.append(f'  {q} -> {t} [label="{"eps" if a == LAMBDA else a}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_eliminate_lambda(m: LinearAutomaton) -> LinearAutomaton:
+    """Each state's lambda closure from ``lambda_closure``, folded into targets
+    and the start set."""
+    closures = {q: lambda_closure(m, q) for q, a in m.delta if a == LAMBDA}
+    delta = {(q, a): frozenset().union(*(closures.get(t, (t,)) for t in targets))
+             for (q, a), targets in m.delta.items() if a != LAMBDA}
+    initial = frozenset().union(*(closures.get(q, (q,)) for q in m.initial))
+    return LinearAutomaton(m.left_states, m.right_states, m.alphabet, delta, initial, m.final)
+
+
+def reference_class_swapped(m: LinearAutomaton) -> LinearAutomaton:
+    return LinearAutomaton(m.right_states, m.left_states, m.alphabet, dict(m.delta),
+                           m.initial, m.final)
+
+
+def reference_pad_ndeg(m: LinearAutomaton, symbol: str) -> LinearAutomaton:
+    if symbol not in m.alphabet:
+        raise SymbolNotInAlphabet(f"symbol {symbol!r} is not in the alphabet")
+    names = NamePool(m.states)
+    x1, x2 = names.fresh("x_1"), names.fresh("x_2")
+    delta = {**m.delta, (x1, symbol): {x1, x2}}
+    return LinearAutomaton(m.left_states | {x1, x2}, m.right_states, m.alphabet, delta,
+                           m.initial, m.final)
+
+
+def reference_build_lk_automaton(k: int) -> LinearAutomaton:
+    chain = [f"q{i}" for i in range(k + 1)]
+    delta: dict[tuple[str, str], set[str]] = {("p1", "a"): {"q0"}}
+    for i in range(k):
+        delta[(chain[i], "b")] = {chain[i + 1], "p1"}
+    delta[(chain[k], "b")] = {"p1"}
+    return LinearAutomaton(["p1"], chain, ["a", "b"], delta, ["q0"], ["q0"])
+
+
+def reference_slnf_to_nla(g: LinearGrammar, sink_side: str | None) -> LinearAutomaton:
+    """A strong-form grammar's automaton, one cell per head and symbol, built
+    from the production view."""
+    right = {v.name for v in g.variables if classify_variable(g, v) is VariableClass.LEFT_LINEAR}
+    left = {v.name for v in g.variables} - right
+    final = set()
+    sink = NamePool(g.symbol_names()).fresh("sink") if sink_side else None
+    if sink:
+        (left if sink_side == "left" else right).add(sink)
+        final.add(sink)
+    delta: dict[tuple[str, str], set[str]] = {}
+    for p in g.sorted_productions():
+        names = [s.name for s in p.body]
+        if not names:
+            final.add(p.head.name)
+        elif p.variable_index is None:
+            delta.setdefault((p.head.name, names[0]), set()).add(sink)
+        else:
+            target = names.pop(p.variable_index)
+            delta.setdefault((p.head.name, "".join(names)), set()).add(target)
+    return LinearAutomaton(left, right, {t.name for t in g.terminals}, delta,
+                           {g.start.name}, final)
+
+
+def reference_move_rules(m: LinearAutomaton) -> dict[str, list[tuple[str, str | None, str]]]:
+    rules: dict[str, list[tuple[str, str | None, str]]] = {}
+    for (q, a), targets in m.delta.items():
+        left, right = (a, "") if q in m.left_states else ("", a)
+        rules.setdefault(q, []).extend((left, t, right) for t in targets)
+    for q in m.final:
+        rules.setdefault(q, []).append(("", None, ""))
+    return rules
+
+
+def reference_is_even(m: LinearAutomaton) -> bool:
+    return all(targets <= (m.right_states if q in m.left_states else m.left_states)
+               for (q, _), targets in m.delta.items())
+
+
+def reference_ndeg(m: LinearAutomaton) -> int:
+    return sum(len(ts) - 1 for ts in m.delta.values())
+
+
+def reference_is_deterministic(m: LinearAutomaton) -> bool:
+    return all(a != LAMBDA and len(ts) == 1 for (_, a), ts in m.delta.items())
+
+
+def assert_rows(m: LinearAutomaton) -> None:
+    """The rows an automaton holds are in the one canonical form that
+    equality and the text round trip rely on."""
+    assert list(m._names) == sorted(set(m._names)) and len(m._left) == len(m._names)
+    for reads, lam in zip(m._reads, m._lam):
+        assert list(reads) == sorted(reads) and LAMBDA not in reads
+        for ts in (*reads.values(), lam):
+            assert type(ts) is tuple and list(ts) == sorted(set(ts))
+        assert all(reads.values())
+    assert type(m._initial) is tuple and list(m._initial) == sorted(set(m._initial))

@@ -263,6 +263,11 @@ class TestLambdaClosure:
         with pytest.raises(UnknownState):
             lambda_closure(EX_NLA, "zz")
 
+    def test_unknown_state_is_the_subject(self):
+        with pytest.raises(UnknownState) as err:
+            lambda_closure(EX_NLA, "zz")
+        assert err.value.subject == "zz"
+
 
 class TestEliminateLambda:
     def test_example_automaton(self):

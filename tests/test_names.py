@@ -190,3 +190,18 @@ def test_validate_grammar_raises_what_the_object_path_raises():
             seen.add(len(want[2]))
     assert seen >= {LinearGrammar, DuplicateSymbol, InvalidIdentifier, NotLinear,
                     StartNotDeclared, UnknownSymbol, 1, 2}
+
+
+def test_a_name_that_is_not_a_str_is_an_invalid_identifier():
+    """Among str names, the scans sort it first, whatever the hash seed."""
+    builds = [
+        lambda: LinearGrammar({variable("S"), variable("A"), Symbol(3, V)}, {terminal("a")},
+                              variable("S"), frozenset()),
+        lambda: validate_grammar(variables=["S", 3, "A"], terminals=["a"], start="S",
+                                 productions=[]),
+        lambda: LinearAutomaton({"p", 3, "q"}, set(), {"a"}, {}, {"p"}, set()),
+        lambda: LinearAutomaton({"p"}, {"q"}, {"a", 4, "b"}, {}, {"p"}, set()),
+    ]
+    for build, name in zip(builds, (3, 3, 3, 4)):
+        got = raised(build)
+        assert got[0] is InvalidIdentifier and got[2] == name, got

@@ -122,6 +122,17 @@ def test_even_nla_to_grammar_agrees_with_the_object_level_pass():
         assert_same(even_nla_to_grammar(m), reference_even_nla_to_grammar(m))
 
 
+def test_production_views_equal_the_checked_constructor():
+    for g in compile_grammars()[::3] + [g_prime(), to_slnf(g_prime())]:
+        views = g.sorted_productions()
+        assert len(views) == sum(map(len, g._rules.values()))
+        for p in views:
+            checked = Production(p.head, p.body)
+            assert p == checked and hash(p) == hash(checked)
+            assert p.variable_index == checked.variable_index
+        assert g.productions == frozenset(views)
+
+
 def built_grammars():
     """One grammar out of each pass that builds through ``grammar._grammar``,
     on a slice of each input family."""
