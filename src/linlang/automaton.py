@@ -79,9 +79,10 @@ class LinearAutomaton:
     def delta(self) -> Mapping[tuple[str, str], frozenset[str]]:
         """Read-only view of the cells, in the order of ``transitions()``."""
         names, cells = self._names, {}
+        one = [frozenset((q,)) for q in names]  # most cells have one target
         for q, reads, lam in zip(names, self._reads, self._lam):
             for a, ts in (*reads.items(), (LAMBDA, lam)) if lam else reads.items():
-                cells[q, a] = frozenset(map(names.__getitem__, ts))
+                cells[q, a] = one[ts[0]] if len(ts) == 1 else frozenset(map(names.__getitem__, ts))
         return MappingProxyType(cells)
 
     has_lambda_moves = property(lambda self: any(self._lam))
