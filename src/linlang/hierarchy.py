@@ -23,7 +23,9 @@ def build_lk_automaton(k: int) -> LinearAutomaton:
     chain = [f"q{i}" for i in range(k + 1)]
     cells = [("p1", "a", "->", "q0"), (chain[k], "b", "->", "p1"),
              *((q, "b", "->", t, "p1") for q, t in zip(chain, chain[1:]))]
-    return _named(["p1"], chain, "ab", ["q0"], ["q0"], cells)
+    # the sweep looks symbols up in a dict keyed by the alphabet's str
+    # objects, fastest when the cells hold the same objects
+    return _named(["p1"], chain, ["a", "b"], ["q0"], ["q0"], cells)
 
 
 def _ab_counts(word: str) -> tuple[int, int] | None:
