@@ -23,7 +23,7 @@ from functools import cached_property, partial, reduce
 from itertools import chain, compress
 from operator import or_
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ClassOverlap,
