@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from .automaton import LinearAutomaton, _automaton, _move_rules, is_deterministic, is_even
+from operator import itemgetter
+
+from .automaton import LinearAutomaton, _automaton, _move_rules, is_even
 from .errors import NotDeterministicLinear, NotEven
 from .grammar import (
     LinearGrammar,
     VariableClass,
     _body,
     _grammar,
-    _line,
     is_deterministic_linear,
     to_even_normal_form,
     to_slnf,
@@ -81,30 +82,30 @@ def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
         pool = NamePool(m.alphabet)
         var = [pool.fresh(q) for q in var]
     rules = _move_rules(m, var)
+    if ordered := var is m._names:
+        # Names follow state numbers, so a left row's reads come in body order
+        # and a right row's sort by (target, symbol); an erasing rule goes first.
+        for v, left, lam in zip(var, m._left, m._lam):
+            if len(rs := rules.get(v, ())) > 1:
+                n = len(rs) - (rs[-1][1] is None)  # the reads, then any erasing rule
+                rules[v] = (sorted(rs, key=_body) if lam else
+                            rs[n:] + (rs[:n] if left else sorted(rs[:n], key=itemgetter(1, 2))))
     variables = set(var)
     if len(m._initial) == 1:
         start = var[m._initial[0]]
     else:
         start = NamePool(m.alphabet | variables).fresh("S")
         variables.add(start)
-        rules[start] = [r for q in m._initial for r in rules.get(var[q], ())]
-    return _grammar(variables, m.alphabet, start, rules)
+        rules[start] = sorted({r for q in m._initial for r in rules.get(var[q], ())}, key=_body)
+    return _grammar(variables, m.alphabet, start, rules, ordered)
 
 
 def det_grammar_to_dla(g: LinearGrammar) -> LinearAutomaton:
     """Deterministic automaton for a deterministic linear grammar."""
     if not is_deterministic_linear(g):
         raise NotDeterministicLinear("grammar fails the deterministic-linear condition")
-    gh = to_slnf(g)
-    for v, rules in gh._rules.items():
-        for x, u, y in rules:
-            # The determinism-preserving pipeline cannot emit unit or bare-
-            # terminal bodies from a deterministic grammar; guard, not assume.
-            assert (x, u, y) == ("", None, "") or u is not None and len(x + y) == 1, \
-                f"unexpected body shape: {_line(v, _body((x, u, y)))}"
-    m = _slnf_to_nla(gh, None)
-    assert is_deterministic(m)
-    return m
+    # a deterministic grammar's strong form has no unit or bare-terminal body
+    return _slnf_to_nla(to_slnf(g), None)
 
 
 def even_grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:

@@ -72,10 +72,6 @@ def variable(name: str) -> Symbol:
     return Symbol(name, _VARIABLE)
 
 
-def _line(head: str, names: Iterable[str]) -> str:  # a line of the grammar format
-    return f"{head} -> {' '.join(map(str, names)) or EPS}"
-
-
 @dataclass(frozen=True, slots=True)
 class Production:
     """One rewrite rule; an empty body is the erasing production."""
@@ -103,7 +99,7 @@ class Production:
         return (self.head.name, tuple(map(_name, self.body)))
 
     def __str__(self) -> str:
-        return _line(self.head.name, map(_name, self.body))
+        return f"{self.head.name} -> {' '.join(map(_name, self.body)) or EPS}"
 
 
 def _body(rule: Rule) -> tuple[str, ...]:  # the tuple of names
@@ -236,11 +232,13 @@ def _fault(variables: Collection[str], terminals: Collection[str], start: str,
 
 
 def _grammar(variables: Iterable[str], terminals: Iterable[str], start: str,
-             rules: Mapping[str, Iterable[Rule]]) -> LinearGrammar:
+             rules: Mapping[str, Sequence[Rule]], ordered: bool = False) -> LinearGrammar:
     """A grammar from names, with every name-level check in one batch: valid
     names, none of both kinds, a declared start, every name a rule uses
-    declared as its kind.  On a fault ``_fault`` reports it.  Duplicate rules
-    go; heads and bodies sort.
+    declared as its kind.  On a fault ``_fault`` reports it.  Heads sort, and
+    so do each head's rules by ``_body``, duplicates dropped, unless the rows
+    come ``ordered``: ``nla_to_grammar`` orders them when states keep their
+    names, while the parser, the normal forms and unit elimination do not.
     """
     vs, ts = frozenset(variables), frozenset(terminals)
     used = {*rules, *(u for rs in rules.values() for _, u, _ in rs if u is not None)}
@@ -250,7 +248,8 @@ def _grammar(variables: Iterable[str], terminals: Iterable[str], start: str,
         _fault(variables, terminals, start, (used - vs) | (chars - ts))
     g = object.__new__(LinearGrammar)
     g.__dict__.update(_variables=vs, _terminals=ts, _start=start,
-                      _rules={v: tuple(sorted(set(rs), key=_body))
+                      _rules={v: tuple(rs) if ordered or len(rs) == 1 else
+                              tuple(sorted(set(rs), key=_body))
                               for v, rs in sorted(rules.items()) if rs})
     return g
 

@@ -86,6 +86,4 @@ class HierarchyWitness:
 
 def hierarchy_witness(k: int) -> HierarchyWitness:
     """Bundle level ``k``'s automaton with its independent membership check."""
-    auto = build_lk_automaton(k)
-    assert ndeg(auto) == k
-    return HierarchyWitness(k, auto, lambda w: lk_predicate(k, w))
+    return HierarchyWitness(k, build_lk_automaton(k), lambda w: lk_predicate(k, w))

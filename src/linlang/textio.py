@@ -14,7 +14,7 @@ from itertools import compress
 
 from .automaton import LAMBDA, LinearAutomaton, _named, _started
 from .errors import LinlangError, NotLinear, ParseError, StartNotDeclared
-from .grammar import LinearGrammar, Production, SymbolKind, _body, _line, validate_grammar
+from .grammar import LinearGrammar, Production, SymbolKind, _body, validate_grammar
 from .naming import EPS
 
 
@@ -140,7 +140,9 @@ def serialize_grammar(g: LinearGrammar) -> str:
     out = ["grammar", f"start {g._start}"]
     out.append(" ".join(["terminals", *sorted(g._terminals)]).rstrip())
     out.append(" ".join(["variables", g._start, *sorted(g._variables - {g._start})]))
-    out += (_line(v, _body(r)) for v, rules in g._rules.items() for r in rules)
+    text: dict = {}  # each distinct rule's body text, built once: many heads share a rule
+    out += (f"{v} -> {text.get(r) or text.setdefault(r, ' '.join(_body(r)) or EPS)}"
+            for v, rules in g._rules.items() for r in rules)
     return "\n".join(out) + "\n"
 
 

@@ -30,6 +30,7 @@ from linlang import (
 )
 from linlang.automaton import LAMBDA, lambda_closure
 from linlang.convert import _slnf_to_nla
+from linlang.grammar import _body
 from linlang.errors import (
     DuplicateSymbol,
     NotDeterminizable,
@@ -216,9 +217,10 @@ def reference_even_grammar_to_nla(g: LinearGrammar) -> LinearAutomaton:
 
 
 def random_automaton(rng: random.Random, allow_lambda: bool = True,
-                     single_start: bool = False) -> LinearAutomaton:
-    n = rng.randint(1, 4)
-    states = [f"s{i}" for i in range(n)]
+                     single_start: bool = False, states: list[str] | None = None,
+                     ) -> LinearAutomaton:
+    """Over ``a`` or ``ab``, with states ``s0``..``s3`` unless ``states`` names them."""
+    states = states or [f"s{i}" for i in range(rng.randint(1, 4))]
     left = {q for q in states if rng.random() < 0.5}
     right = set(states) - left
     alphabet = ["a", "b"][: rng.randint(1, 2)]
@@ -575,6 +577,41 @@ def reference_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
         prods += [Production(start, p.body) for p in prods if p.head in initial_vars]
     return LinearGrammar(frozenset(variables), frozenset(map(terminal, m.alphabet)),
                          start, frozenset(prods))
+
+
+def reference_serialize_grammar(g: LinearGrammar) -> str:
+    """The canonical text, one line built per rule as the serializer once did,
+    over the rules sorted here, by head and then by body names, each once,
+    whatever order the grammar holds them in."""
+    rest = sorted(v.name for v in g.variables if v != g.start)
+    out = ["grammar", f"start {g.start.name}",
+           " ".join(["terminals", *sorted(t.name for t in g.terminals)]).rstrip(),
+           " ".join(["variables", g.start.name, *rest])]
+    rules = {(v, _body(r)) for v, rs in g._rules.items() for r in rs}
+    out += (f"{v} -> {' '.join(body) or 'eps'}" for v, body in sorted(rules))
+    return "\n".join(out) + "\n"
+
+
+def random_deterministic_grammar(rng: random.Random) -> LinearGrammar:
+    """A deterministic linear grammar: each head reads at one end, at most one
+    body per terminal, each body a variable and one to five terminals."""
+    variables = ["S", "A", "B", "C", "D"][: rng.randint(1, 5)]
+    terminals = ["a", "b", "c"][: rng.randint(1, 3)]
+    def flank() -> list[str]:
+        return [rng.choice(terminals) for _ in range(rng.randint(0, 2))]
+
+    productions = []
+    for head in variables:
+        if rng.random() < 0.5:
+            productions.append((head, []))
+        reads_left = rng.random() < 0.5
+        for a in terminals:
+            if rng.random() < 0.6:
+                mid, u = flank(), rng.choice(variables)
+                productions.append((head, [a, *mid, u, *flank()] if reads_left
+                                    else [u, *mid, a]))
+    return validate_grammar(variables=variables, terminals=terminals,
+                            start="S", productions=productions)
 
 
 def reference_even_nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:

@@ -13,19 +13,21 @@ from linlang import (
     even_nla_to_grammar,
     grammar_to_nla,
     is_deterministic,
+    is_deterministic_linear,
     is_even,
     is_even_linear,
     nla_to_grammar,
     parse_grammar,
     serialize_automaton,
     to_even_normal_form,
+    to_slnf,
     validate_automaton,
 )
 from linlang.corpus import load_fixture
 from linlang.errors import NotDeterministicLinear, NotEven, NotEvenLinear
 
-from helpers import (all_words, by_length, random_even_grammar,
-                     reference_even_grammar_to_nla)
+from helpers import (all_words, by_length, random_deterministic_grammar, random_even_grammar,
+                     reference_even_grammar_to_nla, reference_is_deterministic)
 
 EX_NLA = load_fixture("ex_nla").payload
 EX_SLNF = load_fixture("ex_slnf_grammar").payload
@@ -117,6 +119,22 @@ class TestDetGrammarToDla:
             m = det_grammar_to_dla(gr)
             assert is_deterministic(m)
             assert enumerate_accepted(m, 10) == enumerate_language(gr, 10)
+
+
+    def test_seeded_deterministic_grammars(self):
+        # the strong form keeps every body a single read or erasing, so the
+        # automaton has no lambda move, no sink and one target per cell
+        rng = random.Random(0xDE7)
+        grammars = [random_deterministic_grammar(rng) for _ in range(300)]
+        grammars += [load_fixture(fid).payload for fid in
+                     ("det_grammar_2_1", "det_grammar_2_1_lnf", "det_grammar_2_1_slnf")]
+        for gr in grammars:
+            assert is_deterministic_linear(gr)
+            assert all(not p.body or p.variable_index is not None and len(p.body) == 2
+                       for p in to_slnf(gr).sorted_productions())
+            m = det_grammar_to_dla(gr)
+            assert is_deterministic(m) and reference_is_deterministic(m)
+            assert enumerate_accepted(m, 8) == enumerate_language(gr, 8)
 
 
 class TestEvenGrammarToNla:

@@ -16,7 +16,7 @@ from linlang import (
 from linlang.corpus import eq1_predicate, load_fixture
 from linlang.errors import HasLambdaMoves, SymbolNotInAlphabet
 
-from helpers import all_words, by_length
+from helpers import all_words, by_length, reference_ndeg
 
 
 class TestBuildLk:
@@ -137,6 +137,12 @@ class TestPadNdeg:
     def test_requires_lambda_free(self):
         with pytest.raises(HasLambdaMoves):
             pad_ndeg(load_fixture("ex_nla").payload, "a")
+
+
+def test_every_witness_up_to_level_20_has_its_degree():
+    for k in range(21):
+        w = hierarchy_witness(k)
+        assert w.k == k and ndeg(w.automaton) == reference_ndeg(w.automaton) == k
 
 
 def test_witness_bundle():

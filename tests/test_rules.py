@@ -34,7 +34,7 @@ from linlang import (
 )
 from linlang.corpus import fixture_ids, load_fixture
 from linlang.errors import DuplicateSymbol, InvalidIdentifier, StartNotDeclared, UnknownSymbol
-from linlang.grammar import Production, _grammar
+from linlang.grammar import Production, _body, _grammar
 
 from helpers import (
     DATA,
@@ -47,6 +47,7 @@ from helpers import (
     reference_even_normal_form,
     reference_lnf,
     reference_nla_to_grammar,
+    reference_serialize_grammar,
     reference_slnf,
 )
 
@@ -78,6 +79,23 @@ def automata() -> list:
     rng = random.Random(0x14)
     return ([grammar_to_nla(g) for g in compile_grammars()[::5]]
             + [random_automaton(rng) for _ in range(SEEDED)] + corpus("automaton"))
+
+
+@functools.cache
+def wide_automata() -> list:
+    """Automata of 10 to 13 states, where ``s10`` sorts before ``s2``; every
+    other one has states named like a symbol, which ``nla_to_grammar``
+    renames out of name order.  With and without lambda moves, and with one
+    start state or several."""
+    rng = random.Random(0x15)
+    out = []
+    for i in range(80):
+        states = [f"s{j}" for j in range(rng.randint(10, 13))]
+        if i % 2:
+            states[:4] = ["a", "a0", "a_1", "b"]
+        out.append(random_automaton(rng, allow_lambda=i % 4 < 2, single_start=i % 8 < 2,
+                                    states=states))
+    return out
 
 
 @functools.cache
@@ -117,9 +135,63 @@ def test_nla_to_grammar_agrees_with_the_object_level_pass():
         assert_same(nla_to_grammar(m), reference_nla_to_grammar(m))
 
 
+def test_nla_to_grammar_agrees_with_the_object_level_pass_on_wide_and_renamed_automata():
+    ms = wide_automata()
+    paths = {(m.has_lambda_moves, len(m.initial) > 1, not m.alphabet.isdisjoint(m.states))
+             for m in ms}
+    assert len(paths) == 8
+    for m in ms:
+        assert_same(nla_to_grammar(m), reference_nla_to_grammar(m))
+
+
 def test_even_nla_to_grammar_agrees_with_the_object_level_pass():
     for m in even_automata():
         assert_same(even_nla_to_grammar(m), reference_even_nla_to_grammar(m))
+
+
+def scrambled(g: LinearGrammar, rng: random.Random) -> str:
+    """``g``'s text with its production lines shuffled and a quarter repeated."""
+    header, lines = (lines := serialize_grammar(g).splitlines())[:4], lines[4:]
+    lines += rng.sample(lines, len(lines) // 4)
+    rng.shuffle(lines)
+    return "\n".join(header + lines) + "\n"
+
+
+def grammar_family() -> list:
+    return compile_grammars()[::2] + corpus("grammar") + [g_prime()]
+
+
+#: Each grammar pass, and the grammars it builds from the seeded families,
+#: G′ and the corpus.  ``validate_grammar`` builds every seeded grammar.
+PASS_OUTPUTS = {
+    "parse_grammar": lambda: [parse_grammar(scrambled(g, random.Random(i)))
+                              for i, g in enumerate(grammar_family())]
+    + [parse_grammar(path.read_text()) for path in sorted(DATA.glob("*.grm"))],
+    "validate_grammar": grammar_family,
+    "to_lnf": lambda: map(to_lnf, grammar_family()),
+    "to_slnf": lambda: map(to_slnf, grammar_family()),
+    "eliminate_unit_productions": lambda: map(
+        eliminate_unit_productions, compile_grammars()[1::5] + corpus("grammar") + [g_prime()]),
+    "to_even_normal_form": lambda: map(to_even_normal_form, even_grammars()),
+    "nla_to_grammar": lambda: map(nla_to_grammar, automata() + wide_automata()
+                                  + [grammar_to_nla(g_prime())]),
+    "even_nla_to_grammar": lambda: map(even_nla_to_grammar, even_automata()),
+}
+
+
+@pytest.mark.parametrize("name", PASS_OUTPUTS)
+def test_every_pass_hands_over_heads_in_order_and_rules_deduplicated_in_body_order(name):
+    # the order that the grammar's equality, its views and its text rely on;
+    # the reference text sorts the public productions itself
+    count = 0
+    for g in PASS_OUTPUTS[name]():
+        assert list(g._rules) == sorted(g._rules)
+        for rules in g._rules.values():
+            assert type(rules) is tuple and rules
+            assert list(rules) == sorted(set(rules), key=_body)
+        assert serialize_grammar(g) == reference_serialize_grammar(g)
+        count += 1
+    assert count > 10
 
 
 def test_production_views_equal_the_checked_constructor():
