@@ -30,7 +30,6 @@ from linlang import (
 )
 from linlang.automaton import LAMBDA, lambda_closure
 from linlang.convert import _slnf_to_nla
-from linlang.grammar import _body
 from linlang.errors import (
     DuplicateSymbol,
     NotDeterminizable,
@@ -40,6 +39,7 @@ from linlang.errors import (
     SymbolNotInAlphabet,
     UnknownSymbol,
 )
+from linlang.grammar import _body
 from linlang.naming import NamePool, check_name
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "linlang" / "corpus" / "data"
@@ -597,6 +597,7 @@ def random_deterministic_grammar(rng: random.Random) -> LinearGrammar:
     body per terminal, each body a variable and one to five terminals."""
     variables = ["S", "A", "B", "C", "D"][: rng.randint(1, 5)]
     terminals = ["a", "b", "c"][: rng.randint(1, 3)]
+
     def flank() -> list[str]:
         return [rng.choice(terminals) for _ in range(rng.randint(0, 2))]
 

@@ -120,7 +120,6 @@ class TestDetGrammarToDla:
             assert is_deterministic(m)
             assert enumerate_accepted(m, 10) == enumerate_language(gr, 10)
 
-
     def test_seeded_deterministic_grammars(self):
         # the strong form keeps every body a single read or erasing, so the
         # automaton has no lambda move, no sink and one target per cell

@@ -151,10 +151,11 @@ def test_even_nla_to_grammar_agrees_with_the_object_level_pass():
 
 def scrambled(g: LinearGrammar, rng: random.Random) -> str:
     """``g``'s text with its production lines shuffled and a quarter repeated."""
-    header, lines = (lines := serialize_grammar(g).splitlines())[:4], lines[4:]
-    lines += rng.sample(lines, len(lines) // 4)
-    rng.shuffle(lines)
-    return "\n".join(header + lines) + "\n"
+    lines = serialize_grammar(g).splitlines()
+    header, rules = lines[:4], lines[4:]
+    rules += rng.sample(rules, len(rules) // 4)
+    rng.shuffle(rules)
+    return "\n".join(header + rules) + "\n"
 
 
 def grammar_family() -> list:
@@ -182,7 +183,7 @@ PASS_OUTPUTS = {
 @pytest.mark.parametrize("name", PASS_OUTPUTS)
 def test_every_pass_hands_over_heads_in_order_and_rules_deduplicated_in_body_order(name):
     # the order that the grammar's equality, its views and its text rely on;
-    # the reference text sorts the public productions itself
+    # the reference serializer sorts the rules itself
     count = 0
     for g in PASS_OUTPUTS[name]():
         assert list(g._rules) == sorted(g._rules)
