@@ -9,7 +9,6 @@ from .errors import NotDeterministicLinear, NotEven
 from .grammar import (
     LinearGrammar,
     VariableClass,
-    _body,
     _grammar,
     is_deterministic_linear,
     to_even_normal_form,
@@ -82,21 +81,21 @@ def nla_to_grammar(m: LinearAutomaton) -> LinearGrammar:
         pool = NamePool(m.alphabet)
         var = [pool.fresh(q) for q in var]
     rules = _move_rules(m, var)
-    if ordered := var is m._names:
+    if ordered := var is m._names and not m.has_lambda_moves and len(m._initial) == 1:
         # Names follow state numbers, so a left row's reads come in body order
         # and a right row's sort by (target, symbol); an erasing rule goes first.
-        for v, left, lam in zip(var, m._left, m._lam):
+        # Any other automaton leaves the sort to _grammar.
+        for v, left in zip(var, m._left):
             if len(rs := rules.get(v, ())) > 1:
                 n = len(rs) - (rs[-1][1] is None)  # the reads, then any erasing rule
-                rules[v] = (sorted(rs, key=_body) if lam else
-                            rs[n:] + (rs[:n] if left else sorted(rs[:n], key=itemgetter(1, 2))))
+                rules[v] = rs[n:] + (rs[:n] if left else sorted(rs[:n], key=itemgetter(1, 2)))
     variables = set(var)
     if len(m._initial) == 1:
         start = var[m._initial[0]]
     else:
         start = NamePool(m.alphabet | variables).fresh("S")
         variables.add(start)
-        rules[start] = sorted({r for q in m._initial for r in rules.get(var[q], ())}, key=_body)
+        rules[start] = [r for q in m._initial for r in rules.get(var[q], ())]
     return _grammar(variables, m.alphabet, start, rules, ordered)
 
 

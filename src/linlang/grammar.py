@@ -237,8 +237,9 @@ def _grammar(variables: Iterable[str], terminals: Iterable[str], start: str,
     names, none of both kinds, a declared start, every name a rule uses
     declared as its kind.  On a fault ``_fault`` reports it.  Heads sort, and
     so do each head's rules by ``_body``, duplicates dropped, unless the rows
-    come ``ordered``: ``nla_to_grammar`` orders them when states keep their
-    names, while the parser, the normal forms and unit elimination do not.
+    come ``ordered``: ``nla_to_grammar`` orders them for a lambda-free
+    automaton with one start whose states keep their names, while the parser,
+    the normal forms and unit elimination do not.
     """
     vs, ts = frozenset(variables), frozenset(terminals)
     used = {*rules, *(u for rs in rules.values() for _, u, _ in rs if u is not None)}
